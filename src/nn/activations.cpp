@@ -7,12 +7,13 @@ namespace subfed {
 Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
   Tensor output = input;
   mask_ = Tensor(input.shape());
-  for (std::size_t i = 0; i < output.numel(); ++i) {
-    if (output[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
-      output[i] = 0.0f;
-    }
+  // Raw pointers: the checked operator[] costs more than the compare itself.
+  float* out = output.data();
+  float* mask = mask_.data();
+  for (std::size_t i = 0, count = output.numel(); i < count; ++i) {
+    const bool positive = out[i] > 0.0f;
+    mask[i] = positive ? 1.0f : 0.0f;
+    out[i] = positive ? out[i] : 0.0f;
   }
   return output;
 }

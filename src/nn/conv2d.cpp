@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -8,6 +9,39 @@
 #include "util/rng.h"
 
 namespace subfed {
+namespace {
+
+/// Indices c < `slices` such that slice c of some of `count` consecutive
+/// [slices × len] blocks holds a nonzero — e.g. the live planes of an
+/// [N, C, H·W] activation, or (count = 1) the nonzero rows of a matrix.
+std::vector<std::size_t> nonzero_slices(const float* data, std::size_t count,
+                                        std::size_t slices, std::size_t len) {
+  std::vector<std::size_t> live;
+  for (std::size_t c = 0; c < slices; ++c) {
+    for (std::size_t n = 0; n < count; ++n) {
+      const float* slice = data + (n * slices + c) * len;
+      if (std::any_of(slice, slice + len, [](float v) { return v != 0.0f; })) {
+        live.push_back(c);
+        break;
+      }
+    }
+  }
+  return live;
+}
+
+/// Copies the [rows × chans] blocks of `block` floats out of a row-major
+/// matrix with `stride` floats per row into a dense panel.
+void gather_blocks(const float* src, std::size_t stride, const std::vector<std::size_t>& rows,
+                   const std::vector<std::size_t>& chans, std::size_t block, float* dst) {
+  for (const std::size_t r : rows) {
+    for (const std::size_t c : chans) {
+      std::memcpy(dst, src + r * stride + c * block, block * sizeof(float));
+      dst += block;
+    }
+  }
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::string name, std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t pad)
@@ -46,39 +80,92 @@ Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue*
   const ConvGeometry g{in_channels_, input.shape()[2], input.shape()[3],
                        kernel_,      stride_,          pad_};
   const std::size_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
+  const std::size_t k2 = kernel_ * kernel_, plane = g.in_h * g.in_w;
+  const float* w = weight_.value.data();
 
   // The cached input exists only for backward; inference skips the deep copy
   // and clears any stale cache so backward-after-eval fails loudly.
   cached_input_ = train ? input : Tensor();
   Tensor output({batch, out_channels_, oh, ow});
 
+  // Live output channels: weight rows that are not all zero. Live inputs:
+  // planes nonzero in some sample. Training unrolls all of those, since dW
+  // needs them; eval also drops the planes no live weight reads.
+  const std::vector<std::size_t> rows = nonzero_slices(w, 1, out_channels_, g.patch_size());
+  live_inputs_ = nonzero_slices(input.data(), batch, in_channels_, plane);
+  if (!train) {
+    const std::vector<std::size_t> read = nonzero_slices(w, out_channels_, in_channels_, k2);
+    std::erase_if(live_inputs_, [&](std::size_t c) {
+      return !std::binary_search(read.begin(), read.end(), c);
+    });
+  }
+  const std::size_t m = rows.size(), k = live_inputs_.size() * k2;
+
   const Device& dev = device();
   const std::size_t cols = batch * spatial;  // one column per output pixel of the batch
-  const std::size_t in_plane = in_channels_ * g.in_h * g.in_w;
-  if (columns_.size() < g.patch_size() * cols) {
+  if (columns_.size() < k * cols) {
     columns_.reset();
-    columns_ = dev.lease(g.patch_size() * cols);
+    columns_ = dev.lease(k * cols);
   }
-  WorkspaceLease gemm_out = dev.lease(out_channels_ * cols);
 
-  // Unroll every sample into one wide patch matrix, then convolve the whole
-  // batch with a single GEMM: out[oc, n·spatial] = W[oc, ckk] · cols[ckk, n·spatial].
-  // With an epilogue, bias/bn/activation are applied per element at GEMM
-  // store-back (row = output channel), so the regroup below is a pure copy.
+  // Unroll every sample's live planes into one wide patch matrix, then
+  // convolve the whole batch with a single GEMM on the live weight panel:
+  // out[m, N·spatial] = W[m, k] · cols[k, N·spatial].
+  const ConvGeometry one_plane{1, g.in_h, g.in_w, kernel_, stride_, pad_};
   for (std::size_t n = 0; n < batch; ++n) {
-    dev.im2col(input.data() + n * in_plane, g, columns_.data(), cols, n * spatial);
+    for (std::size_t j = 0; j < live_inputs_.size(); ++j) {
+      dev.im2col(input.data() + (n * in_channels_ + live_inputs_[j]) * plane, one_plane,
+                 columns_.data() + j * k2 * cols, cols, n * spatial);
+    }
   }
-  dev.gemm(GemmOp::kNN, weight_.value.data(), columns_.data(), gemm_out.data(),
-           out_channels_, g.patch_size(), cols, /*accumulate=*/false, WeightSide::kA,
-           weight_.uid, weight_.mask_epoch, epilogue);
+  WorkspaceLease w_live = dev.lease(m * k);
+  gather_blocks(w, g.patch_size(), rows, live_inputs_, k2, w_live.data());
 
-  // Regroup [oc, N·spatial] → [N, oc, spatial] and (unfused only) add the bias.
+  // With an epilogue, bias/bn/activation are applied per element at GEMM
+  // store-back (row = live output channel, so its per-channel terms are
+  // gathered too), and the regroup below is a pure copy.
+  GemmEpilogue live_ep;
+  WorkspaceLease ep_terms;
+  if (epilogue != nullptr) {
+    live_ep = *epilogue;
+    ep_terms = dev.lease(5 * m);
+    float* next = ep_terms.data();
+    for (const float** terms : {&live_ep.bias, &live_ep.mean, &live_ep.var, &live_ep.gamma,
+                                &live_ep.beta}) {
+      if (*terms == nullptr) continue;
+      for (std::size_t i = 0; i < m; ++i) next[i] = (*terms)[rows[i]];
+      *terms = next;
+      next += m;
+    }
+  }
+  WorkspaceLease gemm_out = dev.lease(m * cols);
+  dev.gemm(GemmOp::kNN, w_live.data(), columns_.data(), gemm_out.data(), m, k, cols,
+           /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch,
+           epilogue != nullptr ? &live_ep : nullptr);
+
+  // A dead output channel's GEMM row is exactly +0, so it holds the value the
+  // bias (unfused) or the epilogue (fused) makes of zero.
+  std::vector<float> dead(out_channels_, 0.0f);
+  if (epilogue != nullptr) {
+    kern::apply_epilogue_rows(dead.data(), 1, 0, out_channels_, *epilogue);
+  } else {
+    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+      if (bias_.value.data()[oc] != 0.0f) dead[oc] = 0.0f + bias_.value.data()[oc];
+    }
+  }
+
+  // Regroup [m, N·spatial] → [N, oc, spatial] and (unfused only) add the bias.
   for (std::size_t n = 0; n < batch; ++n) {
     float* out_n = output.data() + n * out_channels_ * spatial;
+    std::size_t i = 0;  // next live row
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      const float* src = gemm_out.data() + oc * cols + n * spatial;
       float* dst = out_n + oc * spatial;
-      const float b = epilogue == nullptr ? bias_.value[oc] : 0.0f;
+      if (i == m || rows[i] != oc) {
+        std::fill_n(dst, spatial, dead[oc]);
+        continue;
+      }
+      const float* src = gemm_out.data() + i++ * cols + n * spatial;
+      const float b = epilogue == nullptr ? bias_.value.data()[oc] : 0.0f;
       if (b == 0.0f) {
         std::memcpy(dst, src, spatial * sizeof(float));
       } else {
@@ -98,46 +185,73 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::size_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
   SUBFEDAVG_CHECK(grad_output.shape() == Shape({batch, out_channels_, oh, ow}),
                   "grad_output shape " << grad_output.shape().to_string());
+  const std::size_t k2 = kernel_ * kernel_, plane = g.in_h * g.in_w;
+  const std::size_t patch = g.patch_size();
+  const float* w = weight_.value.data();
 
-  Tensor grad_input(input.shape());
+  // Live output channels: dY rows that are not all zero — a zero row adds
+  // exact zeros to dW, db and dX.
+  const std::vector<std::size_t> rows =
+      nonzero_slices(grad_output.data(), batch, out_channels_, spatial);
+  const std::size_t m = rows.size(), kf = live_inputs_.size() * k2;
+
   const Device& dev = device();
   const std::size_t cols = batch * spatial;
-  const std::size_t in_plane = in_channels_ * g.in_h * g.in_w;
-  WorkspaceLease grad_columns = dev.lease(g.patch_size() * cols);
-  WorkspaceLease grad_packed = dev.lease(out_channels_ * cols);
+  WorkspaceLease grad_packed = dev.lease(m * cols);
 
-  // Regroup dY [N, oc, spatial] → [oc, N·spatial] so both weight and input
-  // gradients are single whole-batch GEMMs. columns_ still holds this
+  // Regroup live dY rows [N, oc, spatial] → [m, N·spatial] so both weight and
+  // input gradients are single whole-batch GEMMs. columns_ still holds this
   // batch's patches: only the train-mode forward that set cached_input_
   // fills them, and eval forwards clear cached_input_ (failing the check
   // above), so backward never needs to re-unroll.
   for (std::size_t n = 0; n < batch; ++n) {
     const float* go_n = grad_output.data() + n * out_channels_ * spatial;
-    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      std::memcpy(grad_packed.data() + oc * cols + n * spatial, go_n + oc * spatial,
+    for (std::size_t i = 0; i < m; ++i) {
+      std::memcpy(grad_packed.data() + i * cols + n * spatial, go_n + rows[i] * spatial,
                   spatial * sizeof(float));
     }
   }
 
-  // dW[oc, ckk] += dY[oc, N·spatial] · colsᵀ — accumulated straight into the
-  // gradient, no per-sample temporary. Neither operand is a weight.
-  dev.gemm(GemmOp::kNT, grad_packed.data(), columns_.data(), weight_.grad.data(),
-           out_channels_, cols, g.patch_size(), /*accumulate=*/true);
-
-  // db[oc] += sum over the batch's spatial positions of dY.
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    float acc = 0.0f;
-    const float* row = grad_packed.data() + oc * cols;
-    for (std::size_t s = 0; s < cols; ++s) acc += row[s];
-    bias_.grad[oc] += acc;
+  // dW[live rows, unrolled inputs] += dY · colsᵀ. The live block is computed
+  // whole, then added into the gradient — the same single rounding as the
+  // full GEMM's accumulate store. Neither operand is a weight.
+  WorkspaceLease grad_w = dev.lease(m * kf);
+  dev.gemm(GemmOp::kNT, grad_packed.data(), columns_.data(), grad_w.data(), m, cols, kf,
+           /*accumulate=*/false);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < live_inputs_.size(); ++j) {
+      float* dst = weight_.grad.data() + rows[i] * patch + live_inputs_[j] * k2;
+      const float* src = grad_w.data() + (i * live_inputs_.size() + j) * k2;
+      for (std::size_t t = 0; t < k2; ++t) dst[t] += src[t];
+    }
   }
 
-  // dCols[ckk, N·spatial] = Wᵀ[ckk, oc] · dY[oc, N·spatial]; scatter per sample.
-  dev.gemm(GemmOp::kTN, weight_.value.data(), grad_packed.data(), grad_columns.data(),
-           g.patch_size(), out_channels_, cols, /*accumulate=*/false, WeightSide::kA,
-           weight_.uid, weight_.mask_epoch);
+  // db[oc] += sum over the batch's spatial positions of dY.
+  for (std::size_t i = 0; i < m; ++i) {
+    float acc = 0.0f;
+    const float* row = grad_packed.data() + i * cols;
+    for (std::size_t s = 0; s < cols; ++s) acc += row[s];
+    bias_.grad.data()[rows[i]] += acc;
+  }
+
+  if (!needs_input_grad()) return Tensor();
+
+  // dCols[live inputs, N·spatial] = Wᵀ · dY over the live rows, for the input
+  // channels some weight reads; col2im scatters each one's plane per sample.
+  const std::vector<std::size_t> read = nonzero_slices(w, out_channels_, in_channels_, k2);
+  const std::size_t kx = read.size() * k2;
+  WorkspaceLease w_live = dev.lease(m * kx);
+  gather_blocks(w, patch, rows, read, k2, w_live.data());
+  WorkspaceLease grad_columns = dev.lease(kx * cols);
+  dev.gemm(GemmOp::kTN, w_live.data(), grad_packed.data(), grad_columns.data(), kx, m, cols,
+           /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch);
+  Tensor grad_input(input.shape());
+  const ConvGeometry one_plane{1, g.in_h, g.in_w, kernel_, stride_, pad_};
   for (std::size_t n = 0; n < batch; ++n) {
-    dev.col2im(grad_columns.data(), g, grad_input.data() + n * in_plane, cols, n * spatial);
+    for (std::size_t j = 0; j < read.size(); ++j) {
+      dev.col2im(grad_columns.data() + j * k2 * cols, one_plane,
+                 grad_input.data() + (n * in_channels_ + read[j]) * plane, cols, n * spatial);
+    }
   }
   return grad_input;
 }

@@ -1,6 +1,19 @@
 // 2-D convolution (square kernel) via batched im2col + GEMM: the whole batch
 // is unrolled into one [C·K·K, N·outH·outW] patch matrix so each pass is a
 // single large GEMM on the layer's Device instead of a per-sample loop.
+//
+// Live-channel execution: every call reads its own operands to find the
+// channels that can contribute — output channels whose weight row (forward)
+// or dY row (backward) is not all zero; input channels whose plane is not
+// all zero in some sample of the batch (forward and dW; eval forwards also
+// drop planes no weight reads) or, for dX, that some weight reads — and runs
+// im2col, the GEMMs and col2im on gathered panels of just those, writing
+// exact zeros (plus bias/epilogue) elsewhere. Structured pruning zeroes whole filters and their downstream
+// input planes, so a half-width client does about half-width work. The
+// dropped terms are exact zeros and each output keeps its ascending-k
+// accumulation, so for finite operands results are bit-identical to the
+// full-width computation. Nothing is cached across calls: SGD can move an
+// unmasked zero weight without a pruning pass.
 #pragma once
 
 #include <vector>
@@ -28,6 +41,7 @@ class Conv2d final : public Layer {
   /// automatically). Driven by Model's fused eval forward; never caches the
   /// input, so a subsequent backward fails loudly like any eval forward.
   Tensor forward_fused(const Tensor& input, GemmEpilogue epilogue);
+  /// Returns an empty tensor when needs_input_grad() is off (first layer).
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string kind() const override { return "Conv2d"; }
@@ -48,13 +62,16 @@ class Conv2d final : public Layer {
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;  // [N, C, H, W] saved by forward for backward
-  /// im2col patches [patch × N·spatial], leased from the layer's device and
-  /// held across calls. Invariant: whenever cached_input_ is non-empty (only
-  /// train-mode forwards set it, and eval forwards clear it), `columns_`
-  /// holds exactly that input's patches — so backward never recomputes the
-  /// im2col. Other scratch (forward GEMM output, backward column/packed
-  /// grads) is leased per call and returned to the device pool on scope exit.
+  /// im2col patches [live_inputs_·K·K × N·spatial], leased from the layer's
+  /// device and held across calls. Invariant: whenever cached_input_ is
+  /// non-empty (only train-mode forwards set it, and eval forwards clear it),
+  /// `columns_` holds exactly that input's patches for the channels in
+  /// `live_inputs_` — every channel whose plane is nonzero, which is all dW
+  /// needs — so backward never recomputes the im2col. Other scratch (gathered
+  /// weights, GEMM outputs, packed grads) is leased per call and returned to
+  /// the device pool on scope exit.
   WorkspaceLease columns_;
+  std::vector<std::size_t> live_inputs_;  ///< input channels unrolled in columns_
 };
 
 }  // namespace subfed

@@ -56,8 +56,15 @@ class Layer {
   /// Human-readable kind, e.g. "Conv2d".
   virtual std::string kind() const = 0;
 
+  /// Whether backward must return dLoss/dInput (default true). Model clears
+  /// it on its first layer, whose input gradient nothing reads; Conv2d then
+  /// skips that work and returns an empty tensor. Other layers ignore it.
+  void set_needs_input_grad(bool needed) noexcept { needs_input_grad_ = needed; }
+  bool needs_input_grad() const noexcept { return needs_input_grad_; }
+
  private:
   const Device* device_ = nullptr;  ///< nullptr → default_device()
+  bool needs_input_grad_ = true;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -53,16 +53,19 @@ class Model {
   Model(Model&&) = default;
   Model& operator=(Model&&) = default;
 
-  /// Appends a layer; returns a typed pointer for topology wiring.
+  /// Appends a layer; returns a typed pointer for topology wiring. The first
+  /// layer's input gradient is never read, so it is told not to compute it.
   template <typename L>
   L* add(std::unique_ptr<L> layer) {
     L* raw = layer.get();
+    if (layers_.empty()) raw->set_needs_input_grad(false);
     layers_.push_back(std::move(layer));
     return raw;
   }
 
   Tensor forward(const Tensor& input, bool train);
-  /// Backpropagates dLoss/dLogits through every layer (reverse order).
+  /// Backpropagates dLoss/dLogits through every layer (reverse order),
+  /// accumulating parameter gradients.
   void backward(const Tensor& grad_logits);
 
   std::vector<Parameter*> parameters();

@@ -18,6 +18,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   input_shape_ = input.shape();
   Tensor output({batch, channels, oh, ow});
   argmax_.assign(output.numel(), 0);
+  float* out = output.data();  // sizes fixed above; raw pointers in the loop
 
   std::size_t out_idx = 0;
   for (std::size_t n = 0; n < batch; ++n) {
@@ -37,7 +38,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
               }
             }
           }
-          output[out_idx] = best_val;
+          out[out_idx] = best_val;
           argmax_[out_idx] = (n * channels + c) * h * w + best;
         }
       }
@@ -49,9 +50,10 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   SUBFEDAVG_CHECK(grad_output.numel() == argmax_.size(), "pool backward before forward");
   Tensor grad_input(input_shape_);
-  for (std::size_t i = 0; i < argmax_.size(); ++i) {
-    grad_input[argmax_[i]] += grad_output[i];
-  }
+  // Every argmax_ entry indexes into an input_shape_ tensor (set by forward).
+  float* gi = grad_input.data();
+  const float* go = grad_output.data();
+  for (std::size_t i = 0; i < argmax_.size(); ++i) gi[argmax_[i]] += go[i];
   return grad_input;
 }
 

@@ -12,15 +12,20 @@ Sgd::Sgd(std::vector<Parameter*> params, SgdConfig config)
 }
 
 void Sgd::step() {
+  const float lr = config_.lr, momentum = config_.momentum, wd = config_.weight_decay;
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
-    Tensor& v = velocity_[i];
-    const float wd = config_.weight_decay;
-    for (std::size_t j = 0; j < p.value.numel(); ++j) {
-      float g = p.grad[j];
-      if (wd != 0.0f) g += wd * p.value[j];
-      v[j] = config_.momentum * v[j] + g;
-      p.value[j] -= config_.lr * v[j];
+    const std::size_t count = p.value.numel();
+    SUBFEDAVG_CHECK(p.grad.numel() == count && velocity_[i].numel() == count,
+                    "sgd state of '" << p.name << "' does not match its value");
+    float* w = p.value.data();
+    const float* grad = p.grad.data();
+    float* v = velocity_[i].data();
+    for (std::size_t j = 0; j < count; ++j) {
+      float g = grad[j];
+      if (wd != 0.0f) g += wd * w[j];
+      v[j] = momentum * v[j] + g;
+      w[j] -= lr * v[j];
     }
     p.grad.zero();
   }

@@ -67,11 +67,22 @@ ModelMask ChannelMask::to_model_mask(Model& model) const {
 
   ModelMask out;
   // Start from all-ones over every tensor a channel can touch, then zero.
-  auto ensure = [&out](Parameter& p) -> Tensor* {
-    if (Tensor* existing = out.find(p.name)) return existing;
-    out.set(p.name, Tensor(p.value.shape(), 1.0f));
-    return out.find(p.name);
+  // Every entry exists before the first pointer into the mask is taken:
+  // set() may reallocate the entry storage under earlier pointers.
+  auto ensure = [&out](Parameter& p) {
+    if (out.find(p.name) == nullptr) out.set(p.name, Tensor(p.value.shape(), 1.0f));
   };
+  for (const ConvBlock& block : topo.conv_blocks) {
+    ensure(block.conv->weight());
+    ensure(block.conv->bias());
+    if (block.bn != nullptr) {
+      ensure(block.bn->gamma());
+      ensure(block.bn->beta());
+    }
+    if (block.next_conv != nullptr) ensure(block.next_conv->weight());
+    if (block.next_fc != nullptr) ensure(block.next_fc->weight());
+  }
+  auto entry = [&out](Parameter& p) { return out.find(p.name); };
 
   for (std::size_t b = 0; b < keep_.size(); ++b) {
     const ConvBlock& block = topo.conv_blocks[b];
@@ -79,10 +90,10 @@ ModelMask ChannelMask::to_model_mask(Model& model) const {
     const std::size_t oc_count = conv.out_channels();
     SUBFEDAVG_CHECK(keep_[b].size() == oc_count, "block " << b << " channel count");
 
-    Tensor* w = ensure(conv.weight());
-    Tensor* bias = ensure(conv.bias());
-    Tensor* gamma = block.bn != nullptr ? ensure(block.bn->gamma()) : nullptr;
-    Tensor* beta = block.bn != nullptr ? ensure(block.bn->beta()) : nullptr;
+    Tensor* w = entry(conv.weight());
+    Tensor* bias = entry(conv.bias());
+    Tensor* gamma = block.bn != nullptr ? entry(block.bn->gamma()) : nullptr;
+    Tensor* beta = block.bn != nullptr ? entry(block.bn->beta()) : nullptr;
 
     const std::size_t filter = conv.in_channels() * conv.kernel() * conv.kernel();
     for (std::size_t oc = 0; oc < oc_count; ++oc) {
@@ -96,7 +107,7 @@ ModelMask ChannelMask::to_model_mask(Model& model) const {
     if (block.next_conv != nullptr) {
       Conv2d& next = *block.next_conv;
       SUBFEDAVG_CHECK(next.in_channels() == oc_count, "next conv in_channels");
-      Tensor* nw = ensure(next.weight());
+      Tensor* nw = entry(next.weight());
       const std::size_t k2 = next.kernel() * next.kernel();
       const std::size_t in_stride = next.in_channels() * k2;
       for (std::size_t oc = 0; oc < oc_count; ++oc) {
@@ -112,7 +123,7 @@ ModelMask ChannelMask::to_model_mask(Model& model) const {
       Linear& fc = *block.next_fc;
       const std::size_t spatial = block.spatial_per_channel;
       SUBFEDAVG_CHECK(fc.in_features() == oc_count * spatial, "fc in_features");
-      Tensor* fw = ensure(fc.weight());
+      Tensor* fw = entry(fc.weight());
       for (std::size_t oc = 0; oc < oc_count; ++oc) {
         if (keep_[b][oc]) continue;
         for (std::size_t row = 0; row < fc.out_features(); ++row) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <new>
+#include <pthread.h>
 #include <unordered_map>
 #include <utility>
 
@@ -162,6 +163,9 @@ Device::Device(const MathBackend& kernels, ComputeDType compute)
       name_(compute == ComputeDType::kFp16 ? backend_name_ + "+fp16" : backend_name_),
       impl_(new Impl) {
   impl_->kind = kind_of(kernels);
+  static const int fork_guard =
+      ::pthread_atfork(&lock_all_for_fork, &unlock_all_after_fork, &unlock_all_after_fork);
+  (void)fork_guard;
 }
 
 Device::~Device() {
@@ -452,6 +456,26 @@ std::map<std::pair<std::string, int>, Device*>& registry() {
 }
 
 }  // namespace
+
+// fork() copies only the calling thread. A child forked while another thread
+// held a device's plan or pool mutex (the subprocess transport forks workers
+// while concurrent runs train) would block forever on its first GEMM or
+// lease, so every device lock is held across fork and released on both sides.
+void Device::lock_all_for_fork() noexcept {
+  registry_mutex().lock();
+  for (auto& [key, device] : registry()) {
+    device->impl_->plan_mu.lock();
+    device->impl_->pool_mu.lock();
+  }
+}
+
+void Device::unlock_all_after_fork() noexcept {
+  for (auto& [key, device] : registry()) {
+    device->impl_->pool_mu.unlock();
+    device->impl_->plan_mu.unlock();
+  }
+  registry_mutex().unlock();
+}
 
 const Device& get_device(const std::string& backend, ComputeDType dtype) {
   SUBFEDAVG_CHECK(has_math_backend(backend),

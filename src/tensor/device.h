@@ -18,7 +18,8 @@
 //   * an fp16 compute mode that stages A/B panels through the wire-format
 //     round-to-nearest casts (comm/quantize.h) with fp32 accumulation.
 //
-// Devices are process-lifetime singletons, safe to share across threads.
+// Devices are process-lifetime singletons, safe to share across threads and
+// to keep using in a fork()ed child.
 // Determinism: per device, results are bit-identical for any math_threads
 // value (plans only choose fan-out and kernels accumulate in ascending-k
 // order); fp16 staging is elementwise and deterministic. Across devices the
@@ -151,6 +152,12 @@ class Device {
  private:
   friend class WorkspaceLease;
   struct Impl;
+
+  /// pthread_atfork handlers (registered by the first device): hold every
+  /// registered device's locks across fork() so a forked child never
+  /// inherits one held by a thread that did not survive the fork.
+  static void lock_all_for_fork() noexcept;
+  static void unlock_all_after_fork() noexcept;
 
   void release(float* data, std::size_t floats) const noexcept;
   void execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,

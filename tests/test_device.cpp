@@ -4,7 +4,11 @@
 // looser tolerance vs fp32, bit-determinism intact), and the registered
 // env-knob table (asserted against the README in both directions).
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -286,6 +290,48 @@ TEST(Workspace, LeasesRecycleThroughTheDevicePool) {
   moved.reset();
   moved.reset();
   EXPECT_FALSE(moved);
+}
+
+TEST(Workspace, ForkedChildNeverInheritsAHeldDeviceLock) {
+  // The subprocess transport forks workers while other threads train. A
+  // child forked while one of them held a device lock used to block on its
+  // first lease or GEMM forever.
+  const Device& dev = get_device("blocked");
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    std::vector<float> a(64, 1.0f), c(64);
+    while (!stop.load(std::memory_order_relaxed)) {
+      WorkspaceLease lease = dev.lease(4096);
+      dev.gemm(GemmOp::kNN, a.data(), a.data(), c.data(), 8, 8, 8, false);
+    }
+  });
+  int hung = 0;
+  for (int i = 0; i < 200 && hung == 0; ++i) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      std::vector<float> a(64, 1.0f), c(64);
+      WorkspaceLease lease = dev.lease(4096);
+      dev.gemm(GemmOp::kNN, a.data(), a.data(), c.data(), 8, 8, 8, false);
+      ::_exit(c[0] == 8.0f ? 0 : 1);
+    }
+    int status = 0;
+    bool exited = false;
+    for (int wait_ms = 0; wait_ms < 5000 && !exited; wait_ms += 5) {
+      exited = ::waitpid(pid, &status, WNOHANG) == pid;
+      if (!exited) ::usleep(5000);
+    }
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      ++hung;
+    } else {
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "fork " << i;
+    }
+  }
+  stop.store(true);
+  churn.join();
+  EXPECT_EQ(hung, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 // Layer-level forward/backward semantics (shapes, known values, caching).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -10,11 +14,20 @@
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "nn/pooling.h"
+#include "pruning/structured.h"
+#include "tensor/device.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace subfed {
 namespace {
+
+// Several pool workers even on small runners, so math_threads 4 really fans
+// the live-channel GEMMs out. Runs before anything touches the global pool.
+const bool kPoolEnvReady = [] {
+  setenv("SUBFEDAVG_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 TEST(Conv2d, KnownValueForward) {
   // 1x1 input channel, 3x3 image, 2x2 kernel of ones, zero bias:
@@ -322,6 +335,297 @@ TEST(Model, ZeroGradClearsAll) {
   EXPECT_GT(grad_norm, 0.0);
   m.zero_grad();
   for (Parameter* p : m.parameters()) EXPECT_EQ(p->grad.squared_norm(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Live-channel execution: Conv2d computes only channels that can contribute,
+// bit-identical both to the full-width computation and to a physically
+// narrowed layer holding just the live channels.
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// The full-width conv every Conv2d call must reproduce bit for bit: im2col
+/// over every channel and GEMMs at full M/K on the layer's device.
+struct FullWidthConv {
+  Tensor out, fused, dw, db, dx;
+};
+
+FullWidthConv full_width(Conv2d& conv, const Tensor& x, const Tensor& dy,
+                         const GemmEpilogue& ep) {
+  const Device& dev = conv.device();
+  const ConvGeometry g{conv.in_channels(), x.shape()[2], x.shape()[3],
+                       conv.kernel(),      conv.stride(), conv.pad()};
+  const std::size_t batch = x.shape()[0], oc = conv.out_channels(), patch = g.patch_size();
+  const std::size_t spatial = g.out_h() * g.out_w(), cols = batch * spatial;
+  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+  const float* w = conv.weight().value.data();
+  std::vector<float> columns(patch * cols), packed(oc * cols), dcols(patch * cols);
+  for (std::size_t n = 0; n < batch; ++n) {
+    dev.im2col(x.data() + n * in_plane, g, columns.data(), cols, n * spatial);
+  }
+  FullWidthConv r;
+  for (const bool fuse : {false, true}) {
+    GemmEpilogue fused_ep = ep;
+    fused_ep.bias = conv.bias().value.data();
+    dev.gemm(GemmOp::kNN, w, columns.data(), packed.data(), oc, patch, cols, false,
+             WeightSide::kA, 0, 0, fuse ? &fused_ep : nullptr);
+    Tensor out({batch, oc, g.out_h(), g.out_w()});
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t o = 0; o < oc; ++o) {
+        const float b = fuse ? 0.0f : conv.bias().value[o];
+        for (std::size_t s = 0; s < spatial; ++s) {
+          const float v = packed[o * cols + n * spatial + s];
+          out.data()[(n * oc + o) * spatial + s] = b == 0.0f ? v : v + b;
+        }
+      }
+    }
+    (fuse ? r.fused : r.out) = std::move(out);
+  }
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t o = 0; o < oc; ++o) {
+      std::memcpy(packed.data() + o * cols + n * spatial, dy.data() + (n * oc + o) * spatial,
+                  spatial * sizeof(float));
+    }
+  }
+  r.dw = Tensor(conv.weight().value.shape());
+  dev.gemm(GemmOp::kNT, packed.data(), columns.data(), r.dw.data(), oc, cols, patch, true);
+  r.db = Tensor({oc});
+  for (std::size_t o = 0; o < oc; ++o) {
+    float acc = 0.0f;
+    for (std::size_t s = 0; s < cols; ++s) acc += packed[o * cols + s];
+    r.db.data()[o] += acc;
+  }
+  dev.gemm(GemmOp::kTN, w, packed.data(), dcols.data(), patch, oc, cols, false,
+           WeightSide::kA, 0, 0);
+  r.dx = Tensor(x.shape());
+  for (std::size_t n = 0; n < batch; ++n) {
+    dev.col2im(dcols.data(), g, r.dx.data() + n * in_plane, cols, n * spatial);
+  }
+  return r;
+}
+
+/// Copies planes `chans` of every sample of an [N, C, H, W] tensor.
+Tensor gather_planes(const Tensor& x, const std::vector<std::size_t>& chans) {
+  const std::size_t batch = x.shape()[0], c_all = x.shape()[1];
+  const std::size_t plane = x.shape()[2] * x.shape()[3];
+  Tensor out({batch, chans.size(), x.shape()[2], x.shape()[3]});
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t j = 0; j < chans.size(); ++j) {
+      std::memcpy(out.data() + (n * chans.size() + j) * plane,
+                  x.data() + (n * c_all + chans[j]) * plane, plane * sizeof(float));
+    }
+  }
+  return out;
+}
+
+struct LiveCase {
+  const char* name;
+  std::vector<std::size_t> pruned_out;   ///< filters zeroed (and their dY rows)
+  std::vector<std::size_t> pruned_in;    ///< weight column blocks zeroed
+  std::vector<std::size_t> dead_planes;  ///< input planes zeroed, weights kept
+};
+
+void check_live_channels(const LiveCase& lc, const std::string& backend,
+                         std::size_t threads) {
+  constexpr std::size_t kIn = 8, kOut = 32, kK = 3, kBatch = 8, kHw = 16;
+  const std::string label = std::string(lc.name) + " on " + backend + " at math_threads " +
+                            std::to_string(threads);
+  auto contains = [](const std::vector<std::size_t>& v, std::size_t x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+  };
+  Rng rng(41);
+  Conv2d conv("full", kIn, kOut, kK, /*stride=*/1, /*pad=*/1);
+  conv.set_device(&get_device(backend));
+  conv.init(rng);
+  conv.bias().value.fill_normal(rng, 0.0f, 0.5f);
+  float* w = conv.weight().value.data();
+  for (std::size_t o = 0; o < kOut; ++o) {
+    for (std::size_t c = 0; c < kIn; ++c) {
+      if (contains(lc.pruned_out, o) || contains(lc.pruned_in, c)) {
+        std::fill_n(w + (o * kIn + c) * kK * kK, kK * kK, 0.0f);
+      }
+    }
+  }
+  Tensor x({kBatch, kIn, kHw, kHw});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  for (std::size_t n = 0; n < kBatch; ++n) {
+    for (std::size_t c : lc.dead_planes) {
+      std::fill_n(x.data() + (n * kIn + c) * kHw * kHw, kHw * kHw, 0.0f);
+    }
+  }
+  Tensor dy({kBatch, kOut, kHw, kHw});
+  dy.fill_normal(rng, 0.0f, 1.0f);
+  for (std::size_t n = 0; n < kBatch; ++n) {
+    for (std::size_t o : lc.pruned_out) {
+      std::fill_n(dy.data() + (n * kOut + o) * kHw * kHw, kHw * kHw, 0.0f);
+    }
+  }
+  std::vector<float> mean(kOut), var(kOut), gamma(kOut), beta(kOut);
+  for (std::size_t o = 0; o < kOut; ++o) {
+    mean[o] = static_cast<float>(rng.normal());
+    var[o] = 0.5f + static_cast<float>(rng.uniform());
+    gamma[o] = static_cast<float>(rng.normal());
+    beta[o] = static_cast<float>(rng.normal());
+  }
+  GemmEpilogue ep;
+  ep.mean = mean.data();
+  ep.var = var.data();
+  ep.gamma = gamma.data();
+  ep.beta = beta.data();
+  ep.eps = 1e-5f;
+  ep.relu = true;
+
+  // The narrowed layer holds only the live channels.
+  std::vector<std::size_t> live_out, live_in;
+  for (std::size_t o = 0; o < kOut; ++o) {
+    if (!contains(lc.pruned_out, o)) live_out.push_back(o);
+  }
+  for (std::size_t c = 0; c < kIn; ++c) {
+    if (!contains(lc.pruned_in, c) && !contains(lc.dead_planes, c)) live_in.push_back(c);
+  }
+  Conv2d narrow("narrow", live_in.size(), live_out.size(), kK, 1, 1);
+  narrow.set_device(&get_device(backend));
+  std::vector<float> n_mean, n_var, n_gamma, n_beta;
+  for (std::size_t j = 0; j < live_out.size(); ++j) {
+    const std::size_t o = live_out[j];
+    narrow.bias().value[j] = conv.bias().value[o];
+    for (std::size_t i = 0; i < live_in.size(); ++i) {
+      std::memcpy(narrow.weight().value.data() + (j * live_in.size() + i) * kK * kK,
+                  w + (o * kIn + live_in[i]) * kK * kK, kK * kK * sizeof(float));
+    }
+    n_mean.push_back(mean[o]);
+    n_var.push_back(var[o]);
+    n_gamma.push_back(gamma[o]);
+    n_beta.push_back(beta[o]);
+  }
+  GemmEpilogue n_ep = ep;
+  n_ep.mean = n_mean.data();
+  n_ep.var = n_var.data();
+  n_ep.gamma = n_gamma.data();
+  n_ep.beta = n_beta.data();
+  const Tensor nx = gather_planes(x, live_in);
+  Tensor ndy({kBatch, live_out.size(), kHw, kHw});
+  for (std::size_t n = 0; n < kBatch; ++n) {
+    for (std::size_t j = 0; j < live_out.size(); ++j) {
+      std::memcpy(ndy.data() + (n * live_out.size() + j) * kHw * kHw,
+                  dy.data() + (n * kOut + live_out[j]) * kHw * kHw,
+                  kHw * kHw * sizeof(float));
+    }
+  }
+
+  const std::size_t prev_threads = math_threads();
+  set_math_threads(threads);
+  const FullWidthConv want = full_width(conv, x, dy, ep);
+  const Tensor fused = conv.forward_fused(x, ep);
+  const Tensor out = conv.forward(x, /*train=*/true);
+  const Tensor dx = conv.backward(dy);
+  const Tensor n_fused = narrow.forward_fused(nx, n_ep);
+  const Tensor n_out = narrow.forward(nx, /*train=*/true);
+  const Tensor n_dx = narrow.backward(ndy);
+  set_math_threads(prev_threads);
+
+  EXPECT_TRUE(same_bits(want.out.data(), out.data(), out.numel())) << label << ": forward";
+  EXPECT_TRUE(same_bits(want.fused.data(), fused.data(), fused.numel())) << label << ": fused";
+  EXPECT_TRUE(same_bits(want.dw.data(), conv.weight().grad.data(), want.dw.numel()))
+      << label << ": dW";
+  EXPECT_TRUE(same_bits(want.db.data(), conv.bias().grad.data(), kOut)) << label << ": db";
+  ASSERT_EQ(dx.shape(), x.shape()) << label;
+  EXPECT_TRUE(same_bits(want.dx.data(), dx.data(), dx.numel())) << label << ": dX";
+
+  const std::size_t spatial = kHw * kHw, patch = kIn * kK * kK;
+  for (std::size_t n = 0; n < kBatch; ++n) {
+    for (std::size_t j = 0; j < live_out.size(); ++j) {
+      const std::size_t at = (n * kOut + live_out[j]) * spatial;
+      const std::size_t n_at = (n * live_out.size() + j) * spatial;
+      EXPECT_TRUE(same_bits(out.data() + at, n_out.data() + n_at, spatial))
+          << label << ": forward row " << live_out[j];
+      EXPECT_TRUE(same_bits(fused.data() + at, n_fused.data() + n_at, spatial))
+          << label << ": fused row " << live_out[j];
+    }
+    for (std::size_t i = 0; i < live_in.size(); ++i) {
+      EXPECT_TRUE(same_bits(dx.data() + (n * kIn + live_in[i]) * spatial,
+                            n_dx.data() + (n * live_in.size() + i) * spatial, spatial))
+          << label << ": dX plane " << live_in[i];
+    }
+  }
+  for (std::size_t j = 0; j < live_out.size(); ++j) {
+    EXPECT_TRUE(same_bits(conv.bias().grad.data() + live_out[j], narrow.bias().grad.data() + j, 1))
+        << label << ": db " << live_out[j];
+    for (std::size_t i = 0; i < live_in.size(); ++i) {
+      EXPECT_TRUE(same_bits(conv.weight().grad.data() + live_out[j] * patch + live_in[i] * kK * kK,
+                            narrow.weight().grad.data() + (j * live_in.size() + i) * kK * kK,
+                            kK * kK))
+          << label << ": dW block " << live_out[j] << "," << live_in[i];
+    }
+  }
+  // A dead plane under live weights still receives its input gradient.
+  for (std::size_t c : lc.dead_planes) {
+    if (contains(lc.pruned_in, c)) continue;
+    double mass = 0.0;
+    for (std::size_t s = 0; s < spatial; ++s) mass += std::fabs(dx.data()[c * spatial + s]);
+    EXPECT_GT(mass, 0.0) << label << ": dX of dead plane " << c;
+  }
+}
+
+TEST(LiveChannels, ConvMatchesFullWidthAndNarrowedLayersBitwise) {
+  const LiveCase cases[] = {
+      {"none pruned", {}, {}, {}},
+      {"half pruned", {0, 3, 4, 9, 10, 11, 17, 20, 21, 22, 25, 26, 28, 29, 30, 31}, {1, 4, 5, 6}, {}},
+      {"all but one pruned", [] {
+         std::vector<std::size_t> v;
+         for (std::size_t o = 0; o < 32; ++o) if (o != 13) v.push_back(o);
+         return v;
+       }(), {0, 1, 2, 4, 5, 6, 7}, {}},
+      {"dead planes, live weights", {}, {}, {0, 2, 7}},
+      {"pruned and dead mixed", {1, 2, 30}, {3}, {3, 5}},
+  };
+  for (const LiveCase& lc : cases) {
+    for (const char* backend : {"blocked", "sparse", "naive"}) {
+      for (std::size_t threads : {1, 4}) check_live_channels(lc, backend, threads);
+    }
+  }
+}
+
+TEST(LiveChannels, FirstLayerSkipsInputGradWithoutChangingParameterGrads) {
+  ModelSpec spec = ModelSpec::lenet5(10);
+  Rng init_rng(51);
+  Model model = spec.build_init(init_rng);
+  EXPECT_FALSE(model.layer(0).needs_input_grad());
+  for (std::size_t i = 1; i < model.num_layers(); ++i) {
+    EXPECT_TRUE(model.layer(i).needs_input_grad()) << i;
+  }
+  // Half the channels pruned, as a Sub-FedAvg (Hy) client trains.
+  apply_channel_mask(model, derive_channel_mask(model, ChannelMask::ones_like(model), 0.5));
+
+  Rng rng(52);
+  Tensor batch({6, spec.in_channels, spec.input_hw, spec.input_hw});
+  batch.fill_normal(rng, 0.0f, 1.0f);
+  std::vector<std::int32_t> labels = {0, 1, 2, 3, 4, 5};
+  auto grads = [&] {
+    model.zero_grad();
+    model.backward(softmax_cross_entropy(model.forward(batch, /*train=*/true), labels).grad_logits);
+    std::vector<Tensor> out;
+    for (Parameter* p : model.parameters()) out.push_back(p->grad);
+    return out;
+  };
+  const std::vector<Tensor> skipped = grads();
+  model.layer(0).set_needs_input_grad(true);
+  const std::vector<Tensor> computed = grads();
+  ASSERT_EQ(skipped.size(), computed.size());
+  for (std::size_t i = 0; i < skipped.size(); ++i) {
+    EXPECT_TRUE(same_bits(skipped[i].data(), computed[i].data(), skipped[i].numel()))
+        << model.parameters()[i]->name;
+  }
+
+  // The layer itself honours the flag: an empty tensor instead of dX.
+  model.layer(0).set_needs_input_grad(false);
+  const Tensor y = model.layer(0).forward(batch, /*train=*/true);
+  EXPECT_TRUE(model.layer(0).backward(Tensor(y.shape(), 1.0f)).empty());
+  model.layer(0).set_needs_input_grad(true);
+  model.layer(0).forward(batch, /*train=*/true);
+  EXPECT_EQ(model.layer(0).backward(Tensor(y.shape(), 1.0f)).shape(), batch.shape());
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Engineering micro-benchmarks (google-benchmark): GEMM/conv throughput per
-// math backend (naive vs blocked vs sparse at several mask densities), mask
+// device (naive vs blocked vs sparse at several mask densities), mask
 // operations, and the two aggregation rules (the DESIGN.md §4.2
 // counting-vs-strict-intersection ablation at the per-op level).
 //
-// The backend GEMM matrix is the perf-trajectory record for the kernel layer;
+// The device GEMM matrix is the perf-trajectory record for the kernel layer;
 // CI runs it as
-//   ./bench_micro --benchmark_filter='GemmBackend|GemmDevice|ConvForward' \
+//   ./bench_micro --benchmark_filter='GemmBackend|ConvForward' \
 //       --benchmark_out=BENCH_gemm.json --benchmark_out_format=json
 // and uploads BENCH_gemm.json, so regressions show up run over run.
 #include <benchmark/benchmark.h>
@@ -14,7 +14,6 @@
 #include "nn/conv2d.h"
 #include "nn/model_zoo.h"
 #include "pruning/unstructured.h"
-#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "util/rng.h"
 
@@ -24,7 +23,7 @@ namespace {
 const char* const kBackendNames[] = {"naive", "blocked", "sparse"};
 
 /// A [n×n] matrix with `density_pct`% nonzeros — pruning masks make weights
-/// exact zeros, which is what the sparse backend keys on.
+/// exact zeros, which is what the sparse device keys on.
 std::vector<float> masked_matrix(Rng& rng, std::size_t size, int density_pct) {
   std::vector<float> out(size);
   for (auto& x : out) {
@@ -47,21 +46,23 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
 
-/// args: {size, backend index, weight density %}. items/sec is dense-equiv
-/// FLOPs, so "sparse at 20%" reads directly against "blocked at 100%".
+/// args: {size, device index, weight density %}. items/sec is dense-equiv
+/// FLOPs, so "sparse at 20%" reads directly against "blocked at 100%". The
+/// operand carries no weight-side hint, so the sparse device inspects its
+/// density on every call.
 void BM_GemmBackend(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const MathBackend& backend = math_backend(kBackendNames[state.range(1)]);
+  const Device& device = get_device(kBackendNames[state.range(1)]);
   const int density_pct = static_cast<int>(state.range(2));
   Rng rng(1);
   std::vector<float> a = masked_matrix(rng, n * n, density_pct);
   std::vector<float> b(n * n), c(n * n);
   for (auto& x : b) x = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    backend.gemm_nn(a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false);
+    device.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetLabel(std::string(backend.name()) + "/d" + std::to_string(density_pct));
+  state.SetLabel(device.name() + "/d" + std::to_string(density_pct));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmBackend)
@@ -79,27 +80,6 @@ BENCHMARK(BM_GemmBackend)
     ->Args({256, 1, 10})
     ->Args({256, 2, 10});
 
-/// args: {size, dtype index (0 = fp32, 1 = fp16)} — GEMM routed through the
-/// Device API. After the first iteration every call is a plan-cache hit, so
-/// against BM_GemmBackend (a direct, pre-planned kernel call) this row prices
-/// the cache lookup; the fp16 rows price the half-precision staging on top.
-void BM_GemmDevice(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const Device& dev = get_device(
-      "blocked", state.range(1) == 1 ? ComputeDType::kFp16 : ComputeDType::kFp32);
-  Rng rng(1);
-  std::vector<float> a(n * n), b(n * n), c(n * n);
-  for (auto& x : a) x = static_cast<float>(rng.normal());
-  for (auto& x : b) x = static_cast<float>(rng.normal());
-  for (auto _ : state) {
-    dev.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel(dev.name());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmDevice)->Args({128, 0})->Args({128, 1})->Args({256, 0})->Args({256, 1});
-
 void BM_LeNetForward(benchmark::State& state) {
   Rng rng(2);
   Model model = ModelSpec::lenet5(10).build_init(rng);
@@ -113,8 +93,8 @@ void BM_LeNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LeNetForward);
 
-/// args: {backend index, weight density %} — whole-model forward through the
-/// batched-im2col conv path on each backend.
+/// args: {device index, weight density %} — whole-model forward through the
+/// batched-im2col conv path on each device.
 void BM_ConvForwardBackend(benchmark::State& state) {
   Rng rng(2);
   ModelSpec spec = ModelSpec::lenet5(10);
@@ -145,26 +125,6 @@ BENCHMARK(BM_ConvForwardBackend)
     ->Args({2, 100})
     ->Args({1, 15})
     ->Args({2, 15});
-
-/// args: {fused} — whole-model eval forward (blocked backend) with the
-/// conv→bn→relu epilogue fused into the GEMM store-back vs the layer-by-layer
-/// chain. The two are bit-identical; the fused row should never be slower.
-void BM_ConvForwardFused(benchmark::State& state) {
-  Rng rng(2);
-  ModelSpec spec = ModelSpec::lenet5(10);
-  spec.backend = "blocked";
-  Model model = spec.build_init(rng);
-  model.set_fusion(state.range(0) != 0);
-  Tensor batch({10, 3, 32, 32});
-  batch.fill_normal(rng, 0.0f, 1.0f);
-  for (auto _ : state) {
-    Tensor out = model.forward(batch, /*train=*/false);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetLabel(state.range(0) != 0 ? "fused" : "unfused");
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
-}
-BENCHMARK(BM_ConvForwardFused)->Arg(0)->Arg(1);
 
 void BM_MagnitudeMaskDerivation(benchmark::State& state) {
   Rng rng(3);

@@ -139,8 +139,6 @@ class Transport {
 /// with no listen address.
 std::unique_ptr<Transport> make_transport(const std::string& name,
                                           const TransportOptions& options);
-/// Back-compat shim: `workers` is TransportOptions::workers.
-std::unique_ptr<Transport> make_transport(const std::string& name, std::size_t workers = 0);
 
 /// True for names make_transport accepts.
 bool has_transport(const std::string& name);

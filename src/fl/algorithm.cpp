@@ -15,7 +15,6 @@ FederatedAlgorithm::FederatedAlgorithm(FlContext ctx) : ctx_(ctx) {
   // lifetime (the destructor restores the previous cap, so one run's
   // override never leaks over a SUBFEDAVG_MATH_THREADS setting).
   if (ctx_.backend != "auto") ctx_.spec.backend = ctx_.backend;
-  if (ctx_.compute != "auto") ctx_.spec.compute = ctx_.compute;
   if (ctx_.math_threads > 0) {
     restore_math_threads_ = math_threads();
     set_math_threads(ctx_.math_threads);

@@ -36,10 +36,6 @@ struct FlContext {
   /// spec's choice / process default); applied to `spec` by the
   /// FederatedAlgorithm constructor.
   std::string backend = "auto";
-  /// GEMM compute dtype ("auto" | "fp32" | "fp16"), applied to `spec` like
-  /// `backend` above. fp16 stages operands through half precision with fp32
-  /// accumulation (tensor/device.h).
-  std::string compute = "auto";
   /// Row-panel cap for a single GEMM, applied process-wide when nonzero by
   /// the FederatedAlgorithm constructor (0 = inherit). Affects only
   /// wall-clock time — kernel results are thread-count independent.

@@ -12,10 +12,8 @@ namespace subfed {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x53464350;         // "SFCP" (legacy Sub-FedAvg)
+constexpr std::uint32_t kMagic = 0x53464347;  // "SFCG" (generic sections)
 constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kGenericMagic = 0x53464347;  // "SFCG" (generic sections)
-constexpr std::uint32_t kGenericVersion = 1;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -38,11 +36,6 @@ class Reader {
     return v;
   }
 
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated checkpoint");
-    return bytes_[pos_++];
-  }
-
   std::vector<std::uint8_t> blob() {
     const std::uint32_t n = u32();
     SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated checkpoint blob");
@@ -58,29 +51,6 @@ class Reader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
-
-/// ModelMask ↔ StateDict bridging so masks reuse the tensor wire format.
-StateDict mask_to_state(const ModelMask& mask) {
-  StateDict state;
-  for (const auto& [name, tensor] : mask) state.add(name, tensor);
-  return state;
-}
-
-ModelMask state_to_mask(const StateDict& state) {
-  ModelMask mask;
-  for (const auto& [name, tensor] : state) mask.set(name, tensor);
-  return mask;
-}
-
-std::vector<std::uint8_t> channel_mask_bytes(const ChannelMask& mask) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, static_cast<std::uint32_t>(mask.num_blocks()));
-  for (std::size_t b = 0; b < mask.num_blocks(); ++b) {
-    put_u32(out, static_cast<std::uint32_t>(mask.block(b).size()));
-    out.insert(out.end(), mask.block(b).begin(), mask.block(b).end());
-  }
-  return out;
-}
 
 void write_file(const std::string& path, const std::vector<std::uint8_t>& out) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -116,8 +86,8 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 std::vector<std::uint8_t> encode_state_sections(std::string_view name,
                                                 const std::vector<StateDict>& sections) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kGenericMagic);
-  put_u32(out, kGenericVersion);
+  put_u32(out, kMagic);
+  put_u32(out, kVersion);
   put_blob(out, std::vector<std::uint8_t>(name.begin(), name.end()));
   put_u32(out, static_cast<std::uint32_t>(sections.size()));
   for (const StateDict& section : sections) {
@@ -129,8 +99,8 @@ std::vector<std::uint8_t> encode_state_sections(std::string_view name,
 std::vector<StateDict> decode_state_sections(std::span<const std::uint8_t> bytes,
                                              std::string_view expect_name) {
   Reader reader(bytes);
-  SUBFEDAVG_CHECK(reader.u32() == kGenericMagic, "bad checkpoint magic");
-  SUBFEDAVG_CHECK(reader.u32() == kGenericVersion, "unsupported checkpoint version");
+  SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad checkpoint magic");
+  SUBFEDAVG_CHECK(reader.u32() == kVersion, "unsupported checkpoint version");
   const std::vector<std::uint8_t> name_bytes = reader.blob();
   const std::string name(name_bytes.begin(), name_bytes.end());
   SUBFEDAVG_CHECK(name == expect_name, "checkpoint was written by '"
@@ -183,58 +153,6 @@ void CheckpointObserver::on_run_end(const RunResult& /*result*/) {
   if (snapshots_ > 0 && last_saved_round_ == last_round_) return;
   save_checkpoint(algorithm_, path_);
   ++snapshots_;
-}
-
-void save_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kMagic);
-  put_u32(out, kVersion);
-  put_blob(out, encode_update(algorithm.global_state(), nullptr));
-  put_u32(out, static_cast<std::uint32_t>(algorithm.num_clients()));
-  for (std::size_t k = 0; k < algorithm.num_clients(); ++k) {
-    SubFedAvgClient& client = algorithm.client(k);
-    put_blob(out, encode_update(client.personal_state(), nullptr));
-    put_blob(out, encode_update(mask_to_state(client.weight_mask()), nullptr));
-    put_blob(out, channel_mask_bytes(client.channel_mask()));
-  }
-
-  write_file(path, out);
-}
-
-void load_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  Reader reader(bytes);
-  SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad checkpoint magic");
-  SUBFEDAVG_CHECK(reader.u32() == kVersion, "unsupported checkpoint version");
-
-  algorithm.set_global_state(decode_update(reader.blob()));
-  const std::uint32_t clients = reader.u32();
-  SUBFEDAVG_CHECK(clients == algorithm.num_clients(),
-                  "checkpoint has " << clients << " clients, federation has "
-                                    << algorithm.num_clients());
-  for (std::uint32_t k = 0; k < clients; ++k) {
-    StateDict personal = decode_update(reader.blob());
-    ModelMask weight_mask = state_to_mask(decode_update(reader.blob()));
-
-    const std::vector<std::uint8_t> cm_bytes = reader.blob();
-    Reader cm(cm_bytes);
-    const std::uint32_t blocks = cm.u32();
-    // Start from the client's current mask to get the right block sizes.
-    ChannelMask channel_mask = algorithm.client(k).channel_mask();
-    SUBFEDAVG_CHECK(blocks == channel_mask.num_blocks(), "channel mask block count");
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const std::uint32_t block_size = cm.u32();
-      SUBFEDAVG_CHECK(block_size == channel_mask.block(b).size(),
-                      "channel mask block size");
-      for (std::uint32_t c = 0; c < block_size; ++c) {
-        channel_mask.block(b)[c] = cm.u8();
-      }
-    }
-    SUBFEDAVG_CHECK(cm.done(), "trailing channel-mask bytes");
-    algorithm.client(k).restore(std::move(personal), std::move(weight_mask),
-                                std::move(channel_mask));
-  }
-  SUBFEDAVG_CHECK(reader.done(), "trailing bytes in checkpoint");
 }
 
 }  // namespace subfed

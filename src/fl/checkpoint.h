@@ -1,15 +1,11 @@
 // Federation checkpointing.
 //
 // Paper-scale runs (100 clients × 300-500 rounds) take hours on CPU; a
-// checkpoint captures everything a federation needs to resume. Two formats
-// share the comm/serialize wire format for tensors:
-//
-//   * the generic container (save_checkpoint / load_checkpoint) stores the
-//     algorithm's named state sections from
-//     FederatedAlgorithm::checkpoint_state(), so EVERY built-in algorithm —
-//     not just Sub-FedAvg — can snapshot and resume;
-//   * the legacy Sub-FedAvg format (save_subfedavg_checkpoint /
-//     load_subfedavg_checkpoint) is kept for files written by earlier builds.
+// checkpoint captures everything a federation needs to resume. The container
+// (save_checkpoint / load_checkpoint) stores the algorithm's named state
+// sections from FederatedAlgorithm::checkpoint_state() in the comm/serialize
+// wire format for tensors, so every built-in algorithm can snapshot and
+// resume.
 //
 // CheckpointObserver wires snapshots into the driver's RoundObserver hooks:
 // attach one and every N-th round (plus the final state) lands on disk
@@ -29,8 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include "fl/algorithm.h"
 #include "fl/driver.h"
-#include "fl/subfedavg.h"
 
 namespace subfed {
 
@@ -91,13 +87,5 @@ class CheckpointObserver final : public RoundObserver {
   std::size_t last_round_ = 0;        ///< last round that actually ran
   std::size_t last_saved_round_ = 0;  ///< last round whose end was snapshotted
 };
-
-/// Legacy Sub-FedAvg-only format. Prefer save_checkpoint for new code.
-void save_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path);
-
-/// Restores state saved by save_subfedavg_checkpoint into an algorithm built
-/// with the SAME data/spec/config. Throws CheckError on mismatch or corrupt
-/// input.
-void load_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path);
 
 }  // namespace subfed

@@ -12,7 +12,6 @@
 #include "net/socket.h"
 #include "serve/session.h"
 #include "telemetry/telemetry.h"
-#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "util/check.h"
 #include "util/parse.h"
@@ -57,8 +56,7 @@ const Field kFields[] = {
     SUBFED_UINT_FIELD(shard, "shard size; 0 = dataset's paper value"),
     SUBFED_UINT_FIELD(test_per_class, "test pool size per class"),
     SUBFED_STRING_FIELD(model, "auto | cnn5 | lenet5 | cnn_deep"),
-    SUBFED_STRING_FIELD(backend, "math backend: auto | naive | blocked | sparse"),
-    SUBFED_STRING_FIELD(compute, "GEMM compute dtype: auto | fp32 | fp16"),
+    SUBFED_STRING_FIELD(backend, "compute device: auto | naive | blocked | sparse"),
     SUBFED_UINT_FIELD(math_threads, "GEMM row-panel cap; 0 = process setting"),
     SUBFED_STRING_FIELD(transport, "channel transport: memory | loopback | subprocess | tcp"),
     SUBFED_STRING_FIELD(codec, "uplink codec: sparse | delta"),
@@ -374,12 +372,9 @@ FlContext ExperimentSpec::make_context(const FederatedData& data) const {
     for (const std::string& name : list_devices()) known += " | " + name;
     SUBFEDAVG_CHECK(false, "unknown backend '" << backend << "' (" << known << ")");
   }
-  SUBFEDAVG_CHECK(compute == "auto" || compute == "fp32" || compute == "fp16",
-                  "unknown compute '" << compute << "' (auto | fp32 | fp16)");
-  // "auto" resolves SUBFEDAVG_BACKEND/SUBFEDAVG_COMPUTE lazily — force it
-  // here so a bad env value fails before training instead of deep inside the
-  // first forward.
-  if (backend == "auto" || compute == "auto") default_device();
+  // "auto" resolves SUBFEDAVG_BACKEND lazily — force it here so a bad env
+  // value fails before training instead of deep inside the first forward.
+  if (backend == "auto") default_device();
   FlContext ctx;
   ctx.data = &data;
   ctx.spec = model_spec();
@@ -387,7 +382,6 @@ FlContext ExperimentSpec::make_context(const FederatedData& data) const {
   ctx.sgd = {static_cast<float>(lr), static_cast<float>(momentum), /*weight_decay=*/0.0f};
   ctx.seed = seed;
   ctx.backend = backend;
-  ctx.compute = compute;
   ctx.math_threads = math_threads;
   ctx.corrupt_fraction = corrupt_fraction;
   ctx.corrupt_noise = corrupt_noise;

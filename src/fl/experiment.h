@@ -47,7 +47,6 @@ struct ExperimentSpec {
   std::string model = "auto";        ///< auto | cnn5 | lenet5 | cnn_deep
   // Compute (tensor/device.h).
   std::string backend = "auto";      ///< auto | naive | blocked | sparse
-  std::string compute = "auto";      ///< auto | fp32 | fp16 GEMM compute dtype
   std::size_t math_threads = 0;      ///< GEMM row-panel cap; 0 → process setting
   // Communication (comm/channel.h, comm/transport.h, comm/round_time.h).
   std::string transport = "memory";  ///< memory | loopback | subprocess | tcp

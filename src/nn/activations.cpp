@@ -4,15 +4,16 @@
 
 namespace subfed {
 
-Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
+Tensor ReLU::forward(const Tensor& input, bool train) {
   Tensor output = input;
-  mask_ = Tensor(input.shape());
+  // The mask exists only for backward; inference keeps none.
+  mask_ = train ? Tensor(input.shape()) : Tensor();
   // Raw pointers: the checked operator[] costs more than the compare itself.
   float* out = output.data();
-  float* mask = mask_.data();
+  float* mask = train ? mask_.data() : nullptr;
   for (std::size_t i = 0, count = output.numel(); i < count; ++i) {
     const bool positive = out[i] > 0.0f;
-    mask[i] = positive ? 1.0f : 0.0f;
+    if (mask != nullptr) mask[i] = positive ? 1.0f : 0.0f;
     out[i] = positive ? out[i] : 0.0f;
   }
   return output;

@@ -12,7 +12,7 @@ class ReLU final : public Layer {
   std::string kind() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;  // 1 where input > 0
+  Tensor mask_;  // 1 where input > 0 (train-mode forwards only)
 };
 
 /// Reshapes NCHW activations to (N, C·H·W) for the FC head.

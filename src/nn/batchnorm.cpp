@@ -22,7 +22,6 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
   const std::size_t spatial = h * w;
   const std::size_t per_channel = batch * spatial;
 
-  cached_train_ = train;
   Tensor output(input.shape());
 
   Tensor mean({channels_}), var({channels_});
@@ -64,6 +63,9 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
   } else {
     mean = running_mean_.value;
     var = running_var_.value;
+    cached_input_ = Tensor();
+    batch_mean_ = Tensor();
+    batch_var_ = Tensor();
   }
 
   for (std::size_t c = 0; c < channels_; ++c) {
@@ -81,7 +83,7 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
-  SUBFEDAVG_CHECK(cached_train_ && !cached_input_.empty(),
+  SUBFEDAVG_CHECK(!cached_input_.empty(),
                   "BatchNorm backward requires a training-mode forward");
   const Tensor& input = cached_input_;
   const std::size_t batch = input.shape()[0], h = input.shape()[2], w = input.shape()[3];

@@ -24,10 +24,6 @@ class BatchNorm2d final : public Layer {
   std::size_t channels() const noexcept { return channels_; }
   Parameter& gamma() noexcept { return gamma_; }
   Parameter& beta() noexcept { return beta_; }
-  float eps() const noexcept { return eps_; }
-  /// Running statistics, exposed for the fused eval epilogue (model.cpp).
-  const Parameter& running_mean() const noexcept { return running_mean_; }
-  const Parameter& running_var() const noexcept { return running_var_; }
 
   /// L1 sparsity penalty applied to γ gradients during backward (0 = off).
   void set_l1_gamma(float strength) noexcept { l1_gamma_ = strength; }
@@ -40,10 +36,10 @@ class BatchNorm2d final : public Layer {
   Parameter gamma_, beta_;
   Parameter running_mean_, running_var_;
 
-  // Forward cache (training mode) for backward.
+  // Forward cache of the last train-mode forward, for backward; eval
+  // forwards clear it.
   Tensor cached_input_;
   Tensor batch_mean_, batch_var_;  // [C]
-  bool cached_train_ = false;
 };
 
 }  // namespace subfed

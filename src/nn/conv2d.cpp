@@ -63,15 +63,6 @@ void Conv2d::init(Rng& rng) {
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool train) {
-  return forward_impl(input, train, nullptr);
-}
-
-Tensor Conv2d::forward_fused(const Tensor& input, GemmEpilogue epilogue) {
-  epilogue.bias = bias_.value.data();
-  return forward_impl(input, /*train=*/false, &epilogue);
-}
-
-Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue* epilogue) {
   SUBFEDAVG_CHECK(input.shape().rank() == 4, "conv input must be NCHW, got "
                                                  << input.shape().to_string());
   const std::size_t batch = input.shape()[0];
@@ -83,29 +74,32 @@ Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue*
   const std::size_t k2 = kernel_ * kernel_, plane = g.in_h * g.in_w;
   const float* w = weight_.value.data();
 
-  // The cached input exists only for backward; inference skips the deep copy
-  // and clears any stale cache so backward-after-eval fails loudly.
+  // The cached input and patches exist only for backward; inference keeps
+  // neither and drops the last ones, so backward-after-eval fails loudly.
   cached_input_ = train ? input : Tensor();
+  if (!train) columns_.reset();
   Tensor output({batch, out_channels_, oh, ow});
 
   // Live output channels: weight rows that are not all zero. Live inputs:
   // planes nonzero in some sample. Training unrolls all of those, since dW
   // needs them; eval also drops the planes no live weight reads.
   const std::vector<std::size_t> rows = nonzero_slices(w, 1, out_channels_, g.patch_size());
-  live_inputs_ = nonzero_slices(input.data(), batch, in_channels_, plane);
+  std::vector<std::size_t> inputs = nonzero_slices(input.data(), batch, in_channels_, plane);
   if (!train) {
     const std::vector<std::size_t> read = nonzero_slices(w, out_channels_, in_channels_, k2);
-    std::erase_if(live_inputs_, [&](std::size_t c) {
+    std::erase_if(inputs, [&](std::size_t c) {
       return !std::binary_search(read.begin(), read.end(), c);
     });
   }
-  const std::size_t m = rows.size(), k = live_inputs_.size() * k2;
+  const std::size_t m = rows.size(), k = inputs.size() * k2;
 
   const Device& dev = device();
   const std::size_t cols = batch * spatial;  // one column per output pixel of the batch
-  if (columns_.size() < k * cols) {
-    columns_.reset();
-    columns_ = dev.lease(k * cols);
+  WorkspaceLease eval_columns;
+  WorkspaceLease& columns = train ? columns_ : eval_columns;
+  if (columns.size() < k * cols) {
+    columns.reset();
+    columns = dev.lease(k * cols);
   }
 
   // Unroll every sample's live planes into one wide patch matrix, then
@@ -113,59 +107,32 @@ Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue*
   // out[m, N·spatial] = W[m, k] · cols[k, N·spatial].
   const ConvGeometry one_plane{1, g.in_h, g.in_w, kernel_, stride_, pad_};
   for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t j = 0; j < live_inputs_.size(); ++j) {
-      dev.im2col(input.data() + (n * in_channels_ + live_inputs_[j]) * plane, one_plane,
-                 columns_.data() + j * k2 * cols, cols, n * spatial);
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      dev.im2col(input.data() + (n * in_channels_ + inputs[j]) * plane, one_plane,
+                 columns.data() + j * k2 * cols, cols, n * spatial);
     }
   }
   WorkspaceLease w_live = dev.lease(m * k);
-  gather_blocks(w, g.patch_size(), rows, live_inputs_, k2, w_live.data());
-
-  // With an epilogue, bias/bn/activation are applied per element at GEMM
-  // store-back (row = live output channel, so its per-channel terms are
-  // gathered too), and the regroup below is a pure copy.
-  GemmEpilogue live_ep;
-  WorkspaceLease ep_terms;
-  if (epilogue != nullptr) {
-    live_ep = *epilogue;
-    ep_terms = dev.lease(5 * m);
-    float* next = ep_terms.data();
-    for (const float** terms : {&live_ep.bias, &live_ep.mean, &live_ep.var, &live_ep.gamma,
-                                &live_ep.beta}) {
-      if (*terms == nullptr) continue;
-      for (std::size_t i = 0; i < m; ++i) next[i] = (*terms)[rows[i]];
-      *terms = next;
-      next += m;
-    }
-  }
+  gather_blocks(w, g.patch_size(), rows, inputs, k2, w_live.data());
   WorkspaceLease gemm_out = dev.lease(m * cols);
-  dev.gemm(GemmOp::kNN, w_live.data(), columns_.data(), gemm_out.data(), m, k, cols,
-           /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch,
-           epilogue != nullptr ? &live_ep : nullptr);
+  dev.gemm(GemmOp::kNN, w_live.data(), columns.data(), gemm_out.data(), m, k, cols,
+           /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch);
+  live_inputs_ = train ? std::move(inputs) : std::vector<std::size_t>();
 
-  // A dead output channel's GEMM row is exactly +0, so it holds the value the
-  // bias (unfused) or the epilogue (fused) makes of zero.
-  std::vector<float> dead(out_channels_, 0.0f);
-  if (epilogue != nullptr) {
-    kern::apply_epilogue_rows(dead.data(), 1, 0, out_channels_, *epilogue);
-  } else {
-    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      if (bias_.value.data()[oc] != 0.0f) dead[oc] = 0.0f + bias_.value.data()[oc];
-    }
-  }
-
-  // Regroup [m, N·spatial] → [N, oc, spatial] and (unfused only) add the bias.
+  // Regroup [m, N·spatial] → [N, oc, spatial] and add the bias. A dead output
+  // channel's GEMM row is exactly +0, so it holds what the bias makes of zero.
+  const float* bias = bias_.value.data();
   for (std::size_t n = 0; n < batch; ++n) {
     float* out_n = output.data() + n * out_channels_ * spatial;
     std::size_t i = 0;  // next live row
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
       float* dst = out_n + oc * spatial;
+      const float b = bias[oc];
       if (i == m || rows[i] != oc) {
-        std::fill_n(dst, spatial, dead[oc]);
+        std::fill_n(dst, spatial, b == 0.0f ? 0.0f : 0.0f + b);
         continue;
       }
       const float* src = gemm_out.data() + i++ * cols + n * spatial;
-      const float b = epilogue == nullptr ? bias_.value.data()[oc] : 0.0f;
       if (b == 0.0f) {
         std::memcpy(dst, src, spatial * sizeof(float));
       } else {
@@ -202,8 +169,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   // Regroup live dY rows [N, oc, spatial] → [m, N·spatial] so both weight and
   // input gradients are single whole-batch GEMMs. columns_ still holds this
   // batch's patches: only the train-mode forward that set cached_input_
-  // fills them, and eval forwards clear cached_input_ (failing the check
-  // above), so backward never needs to re-unroll.
+  // fills them, and eval forwards clear both (failing the check above), so
+  // backward never needs to re-unroll.
   for (std::size_t n = 0; n < batch; ++n) {
     const float* go_n = grad_output.data() + n * out_channels_ * spatial;
     for (std::size_t i = 0; i < m; ++i) {

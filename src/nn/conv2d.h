@@ -8,12 +8,12 @@
 // all zero in some sample of the batch (forward and dW; eval forwards also
 // drop planes no weight reads) or, for dX, that some weight reads — and runs
 // im2col, the GEMMs and col2im on gathered panels of just those, writing
-// exact zeros (plus bias/epilogue) elsewhere. Structured pruning zeroes whole filters and their downstream
-// input planes, so a half-width client does about half-width work. The
-// dropped terms are exact zeros and each output keeps its ascending-k
-// accumulation, so for finite operands results are bit-identical to the
-// full-width computation. Nothing is cached across calls: SGD can move an
-// unmasked zero weight without a pruning pass.
+// exact zeros (plus bias) elsewhere. Structured pruning zeroes whole filters
+// and their downstream input planes, so a half-width client does about
+// half-width work. The dropped terms are exact zeros and each output keeps
+// its ascending-k accumulation, so for finite operands results are
+// bit-identical to the full-width computation. No live set is cached across
+// calls: SGD can move an unmasked zero weight without a pruning pass.
 #pragma once
 
 #include <vector>
@@ -36,11 +36,6 @@ class Conv2d final : public Layer {
   void init(Rng& rng);
 
   Tensor forward(const Tensor& input, bool train) override;
-  /// Eval-only fused conv→bn→activation forward: the epilogue's per-channel
-  /// terms are applied inside the GEMM store-back (this layer's bias is added
-  /// automatically). Driven by Model's fused eval forward; never caches the
-  /// input, so a subsequent backward fails loudly like any eval forward.
-  Tensor forward_fused(const Tensor& input, GemmEpilogue epilogue);
   /// Returns an empty tensor when needs_input_grad() is off (first layer).
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
@@ -56,20 +51,18 @@ class Conv2d final : public Layer {
   Parameter& bias() noexcept { return bias_; }
 
  private:
-  Tensor forward_impl(const Tensor& input, bool train, const GemmEpilogue* epilogue);
-
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_;
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;  // [N, C, H, W] saved by forward for backward
-  /// im2col patches [live_inputs_·K·K × N·spatial], leased from the layer's
-  /// device and held across calls. Invariant: whenever cached_input_ is
-  /// non-empty (only train-mode forwards set it, and eval forwards clear it),
-  /// `columns_` holds exactly that input's patches for the channels in
-  /// `live_inputs_` — every channel whose plane is nonzero, which is all dW
-  /// needs — so backward never recomputes the im2col. Other scratch (gathered
-  /// weights, GEMM outputs, packed grads) is leased per call and returned to
-  /// the device pool on scope exit.
+  /// im2col patches [live_inputs_·K·K × N·spatial] of the last train-mode
+  /// forward, leased from the layer's device and held for backward: whenever
+  /// cached_input_ is non-empty, `columns_` holds exactly that input's
+  /// patches for the channels in `live_inputs_` — every channel whose plane
+  /// is nonzero, which is all dW needs — so backward never recomputes the
+  /// im2col. Eval forwards release both. All other scratch (the eval patch
+  /// panel, gathered weights, GEMM outputs, packed grads) is leased per call
+  /// and returned to the device pool on scope exit.
   WorkspaceLease columns_;
   std::vector<std::size_t> live_inputs_;  ///< input channels unrolled in columns_
 };

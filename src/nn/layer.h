@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "nn/parameter.h"
-#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "tensor/tensor.h"
 
@@ -30,16 +29,10 @@ class Layer {
     return device_ != nullptr ? *device_ : default_device();
   }
 
-  /// Deprecated MathBackend seam, aliased onto the Device registry: resolves
-  /// the fp32 device wrapping `backend`. Prefer set_device().
-  void set_backend(const MathBackend* backend) {
-    device_ = backend != nullptr ? &device_for(*backend) : nullptr;
-  }
-  /// Deprecated: the active device's raw kernel set. Prefer device().
-  const MathBackend& math() const { return device().kernels(); }
-
   /// Computes the layer output. `train` toggles training-time behaviour
-  /// (BatchNorm batch statistics). Implementations cache what backward needs.
+  /// (BatchNorm batch statistics). Only a training-mode forward caches what
+  /// backward needs; an eval forward keeps nothing and drops any earlier
+  /// cache, so backward after it throws CheckError.
   virtual Tensor forward(const Tensor& input, bool train) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns

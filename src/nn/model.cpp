@@ -1,65 +1,15 @@
 #include "nn/model.h"
 
-#include "nn/activations.h"
 #include "nn/batchnorm.h"
-#include "nn/conv2d.h"
 #include "util/check.h"
 
 namespace subfed {
 
 Tensor Model::forward(const Tensor& input, bool train) {
   SUBFEDAVG_CHECK(!layers_.empty(), "empty model");
-  if (!train && fused_) {
-    // Fused eval forward: each Conv2d→BatchNorm2d(→ReLU) chain collapses into
-    // one GEMM whose epilogue applies bias/bn/activation at store-back.
-    // Bit-identical to the unfused loop below (tests/test_device.cpp pins it).
-    const std::vector<FusePlan>& plans = fuse_plans();
-    const Tensor* cur = &input;
-    Tensor x;
-    std::size_t i = 0;
-    while (i < layers_.size()) {
-      const FusePlan& plan = plans[i];
-      if (plan.bn != nullptr) {
-        auto* conv = static_cast<Conv2d*>(layers_[i].get());
-        GemmEpilogue ep;
-        ep.mean = plan.bn->running_mean().value.data();
-        ep.var = plan.bn->running_var().value.data();
-        ep.gamma = plan.bn->gamma().value.data();
-        ep.beta = plan.bn->beta().value.data();
-        ep.eps = plan.bn->eps();
-        ep.relu = plan.relu;
-        x = conv->forward_fused(*cur, ep);
-        i += 1 + plan.skip;
-      } else {
-        x = layers_[i]->forward(*cur, /*train=*/false);
-        ++i;
-      }
-      cur = &x;
-    }
-    return x;
-  }
   Tensor x = layers_.front()->forward(input, train);
   for (std::size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->forward(x, train);
   return x;
-}
-
-const std::vector<Model::FusePlan>& Model::fuse_plans() {
-  if (fuse_plans_.size() == layers_.size()) return fuse_plans_;
-  fuse_plans_.assign(layers_.size(), FusePlan{});
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    auto* conv = dynamic_cast<Conv2d*>(layers_[i].get());
-    if (conv == nullptr || i + 1 >= layers_.size()) continue;
-    auto* bn = dynamic_cast<BatchNorm2d*>(layers_[i + 1].get());
-    if (bn == nullptr || bn->channels() != conv->out_channels()) continue;
-    FusePlan& plan = fuse_plans_[i];
-    plan.bn = bn;
-    plan.skip = 1;
-    if (i + 2 < layers_.size() && dynamic_cast<ReLU*>(layers_[i + 2].get()) != nullptr) {
-      plan.relu = true;
-      plan.skip = 2;
-    }
-  }
-  return fuse_plans_;
 }
 
 void Model::backward(const Tensor& grad_logits) {
@@ -135,10 +85,6 @@ void Model::set_bn_l1(float strength) {
 
 void Model::set_device(const Device* device) noexcept {
   for (auto& layer : layers_) layer->set_device(device);
-}
-
-void Model::set_backend(const MathBackend* backend) {
-  for (auto& layer : layers_) layer->set_backend(backend);
 }
 
 }  // namespace subfed

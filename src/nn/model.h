@@ -96,33 +96,9 @@ class Model {
   /// restores the process default). See tensor/device.h.
   void set_device(const Device* device) noexcept;
 
-  /// Deprecated alias onto the Device registry: routes layers through the
-  /// fp32 device wrapping `backend`. Prefer set_device().
-  void set_backend(const MathBackend* backend);
-
-  /// Enables/disables fused conv→bn→activation epilogues in eval-mode
-  /// forwards (training always runs unfused — train BN needs batch
-  /// statistics). Defaults to fused_epilogues_default() (SUBFEDAVG_FUSED).
-  /// Fused and unfused eval forwards are bit-identical by construction.
-  void set_fusion(bool fused) noexcept { fused_ = fused; }
-  bool fusion() const noexcept { return fused_; }
-
  private:
-  /// Per-layer fused-eval chain plan: for a Conv2d whose output feeds
-  /// BatchNorm2d (optionally then ReLU), how many following layers the fused
-  /// forward consumes. Computed lazily from the layer list (which is fixed
-  /// after construction).
-  struct FusePlan {
-    BatchNorm2d* bn = nullptr;
-    std::size_t skip = 0;  ///< extra layers consumed after the conv (1 or 2)
-    bool relu = false;
-  };
-  const std::vector<FusePlan>& fuse_plans();
-
   std::vector<LayerPtr> layers_;
   ModelTopology topology_;
-  bool fused_ = fused_epilogues_default();
-  std::vector<FusePlan> fuse_plans_;  // lazily sized to layers_.size()
 };
 
 /// Builds a new model of the same architecture as `reference` would be built

@@ -124,12 +124,7 @@ Model ModelSpec::build() const {
     case Arch::kCnnDeep: m = build_cnn_deep(*this); break;
     default: SUBFEDAVG_CHECK(false, "unknown arch");
   }
-  if (backend != "auto" || compute != "auto") {
-    const std::string name = backend == "auto" ? default_device().backend_name() : backend;
-    const ComputeDType dtype =
-        compute == "auto" ? default_device().compute() : parse_compute_dtype(compute);
-    m.set_device(&get_device(name, dtype));
-  }
+  if (backend != "auto") m.set_device(&get_device(backend));
   return m;
 }
 

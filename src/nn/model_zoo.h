@@ -34,10 +34,6 @@ struct ModelSpec {
   /// so every client/server model of a federation uses the same kernels, and
   /// sweeps can put `backend` on an axis.
   std::string backend = "auto";
-  /// Compute dtype for the device: "auto" (the process default) | "fp32" |
-  /// "fp16". fp16 stages GEMM operands through half precision with fp32
-  /// accumulation — results match fp32 within a looser tolerance.
-  std::string compute = "auto";
 
   /// Builds the architecture with zeroed/default parameters.
   Model build() const;

@@ -8,7 +8,7 @@ MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
   SUBFEDAVG_CHECK(window > 0, "pool window must be positive");
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
+Tensor MaxPool2d::forward(const Tensor& input, bool train) {
   SUBFEDAVG_CHECK(input.shape().rank() == 4, "pool input must be NCHW");
   const std::size_t batch = input.shape()[0], channels = input.shape()[1];
   const std::size_t h = input.shape()[2], w = input.shape()[3];
@@ -17,8 +17,14 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
 
   input_shape_ = input.shape();
   Tensor output({batch, channels, oh, ow});
-  argmax_.assign(output.numel(), 0);
+  // The argmax exists only for backward; inference keeps none.
+  if (train) {
+    argmax_.assign(output.numel(), 0);
+  } else {
+    argmax_ = std::vector<std::size_t>();
+  }
   float* out = output.data();  // sizes fixed above; raw pointers in the loop
+  std::size_t* argmax = train ? argmax_.data() : nullptr;
 
   std::size_t out_idx = 0;
   for (std::size_t n = 0; n < batch; ++n) {
@@ -39,7 +45,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
             }
           }
           out[out_idx] = best_val;
-          argmax_[out_idx] = (n * channels + c) * h * w + best;
+          if (argmax != nullptr) argmax[out_idx] = (n * channels + c) * h * w + best;
         }
       }
     }

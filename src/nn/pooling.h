@@ -19,7 +19,8 @@ class MaxPool2d final : public Layer {
  private:
   std::size_t window_;
   Shape input_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index of each output element
+  /// Flat input index of each output element (train-mode forwards only).
+  std::vector<std::size_t> argmax_;
 };
 
 }  // namespace subfed

@@ -1,83 +1,14 @@
-// Pluggable math backend: the stateless kernel sets every GEMM/im2col/col2im
-// in the hot path used to go through directly. Since the Device redesign
-// (tensor/device.h) these remain as (a) the raw kernel dispatch each Device
-// executes through, and (b) the backward-compatible `math_backend()` lookup —
-// layers now route through a storage-owning Device that adds an execution-plan
-// cache, workspace leases, fused epilogues, and an fp16 compute mode on top.
+// Process-wide knobs of the compute stack.
 //
-// Three backends ship with the library:
-//  * "naive"   — the original ikj triple loops (tensor/gemm.h), kept as the
-//                correctness oracle every other backend is tested against.
-//  * "blocked" — cache-blocked, register-tiled kernels (4×16 micro-tiles),
-//                parallelized over row panels on util/thread_pool when the
-//                problem is large enough. The process default.
-//  * "sparse"  — inspects the weight-side operand per call; when its density
-//                drops below a threshold (pruning masks zero weights exactly)
-//                it packs the operand into CSR and runs a sparsity-aware
-//                kernel, otherwise it falls back to the blocked kernels. This
-//                is what turns Sub-FedAvg's pruned models into real
-//                wall-clock speedups instead of theoretical FLOP counts.
-//
-// Determinism: for a fixed backend, every output element is accumulated in
-// ascending-k order regardless of how row panels are distributed over
-// threads, so results are bit-identical for any math_threads value. Across
-// backends results may differ by floating-point contraction (FMA) — the
-// cross-backend test suite compares with a tight tolerance.
+// The stack has two layers: tensor/kernels.h (the raw dense and sparse
+// kernels plus the row-chunk runner) and tensor/device.h (the naive | blocked
+// | sparse devices that dispatch to them and own plans and workspace). These
+// knobs tune both without changing any result.
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <vector>
-
-#include "tensor/gemm.h"
 
 namespace subfed {
-
-/// Abstract kernel set. All matrices are row-major; `accumulate` selects
-/// C += ... instead of C = ... . Implementations must be safe to call
-/// concurrently from many threads (they are shared singletons).
-class MathBackend {
- public:
-  virtual ~MathBackend() = default;
-
-  virtual std::string name() const = 0;
-
-  /// C[m×n] (+)= A[m×k] · B[k×n].
-  virtual void gemm_nn(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t k, std::size_t n, bool accumulate) const = 0;
-  /// C[m×n] (+)= Aᵀ · B where A is stored [k×m].
-  virtual void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t k, std::size_t n, bool accumulate) const = 0;
-  /// C[m×n] (+)= A · Bᵀ where B is stored [n×k].
-  virtual void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t k, std::size_t n, bool accumulate) const = 0;
-
-  /// Patch unrolling / scattering. The defaults delegate to the reference
-  /// kernels in tensor/gemm.h; backends may override (e.g. fused variants).
-  virtual void im2col(const float* image, const ConvGeometry& g, float* columns,
-                      std::size_t col_stride, std::size_t col_offset) const;
-  virtual void col2im(const float* columns, const ConvGeometry& g, float* image,
-                      std::size_t col_stride, std::size_t col_offset) const;
-};
-
-/// Looks up a backend by name ("naive" | "blocked" | "sparse"). The returned
-/// reference is a process-lifetime singleton. Throws CheckError (listing the
-/// known names) on an unknown name.
-/// Deprecated: new code should resolve a Device via get_device() in
-/// tensor/device.h — backend names alias onto the Device registry there.
-const MathBackend& math_backend(const std::string& name);
-
-/// True when `name` resolves to a registered backend.
-bool has_math_backend(const std::string& name);
-
-/// Sorted names of every registered backend.
-std::vector<std::string> list_math_backends();
-
-/// The process-wide default used by layers with no explicit backend:
-/// SUBFEDAVG_BACKEND when set, otherwise "blocked". An unknown env value
-/// throws CheckError on first resolution (ExperimentSpec::make_context
-/// resolves eagerly, so misspellings fail before training starts).
-const MathBackend& default_math_backend();
 
 /// Caps the number of row panels a single GEMM fans out to on the global
 /// thread pool. 0 (the default) means "pool size". Values only affect
@@ -86,7 +17,7 @@ const MathBackend& default_math_backend();
 void set_math_threads(std::size_t n) noexcept;
 std::size_t math_threads() noexcept;
 
-/// Fraction of nonzero entries below which the sparse backend packs the
+/// Fraction of nonzero entries below which the sparse device packs the
 /// weight operand into CSR (default 0.25, env SUBFEDAVG_SPARSE_DENSITY).
 double sparse_density_threshold() noexcept;
 

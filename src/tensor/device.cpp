@@ -10,8 +10,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "comm/quantize.h"  // scalar fp16 casts double as the compute staging path
 #include "tensor/backend.h"
+#include "tensor/kernels.h"
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -19,24 +19,18 @@
 namespace subfed {
 namespace {
 
-// -- fp16 staging -------------------------------------------------------------
-// Round each operand element through the wire half-precision format before the
-// fp32 kernels consume it. Elementwise and scalar, so the result is identical
-// regardless of chunking or ISA — fp16 devices keep the bit-determinism
-// contract, and (since the casts preserve ±0) pruned zeros stay exactly zero,
-// leaving density decisions unchanged.
-void stage_fp16(const float* src, float* dst, std::size_t count) noexcept {
-  for (std::size_t i = 0; i < count; ++i) dst[i] = fp16_to_fp32(fp32_to_fp16(src[i]));
-}
+using Kind = Device::Kind;
 
-enum class Kind : std::uint8_t { kNaive, kBlocked, kSparse };
+/// The single name→kind table resolution, validation and listing share.
+constexpr std::pair<const char*, Kind> kDevices[] = {
+    {"blocked", Kind::kBlocked}, {"naive", Kind::kNaive}, {"sparse", Kind::kSparse}};
 
-Kind kind_of(const MathBackend& kernels) {
-  const std::string name = kernels.name();
-  if (name == "naive") return Kind::kNaive;
-  if (name == "sparse") return Kind::kSparse;
-  return Kind::kBlocked;  // "blocked" and any future dense kernel set
-}
+/// Largest B-side operand the sparse device density-scans when the caller
+/// gives no weight-side hint: covers every weight matrix in the model zoo
+/// (cnn_deep's fc1 is 2048×64 = 2^17) while excluding the biggest im2col
+/// activation matrices; mid-sized activation operands pay an O(k·n) scan, a
+/// few percent of their GEMM, only on this opt-in device.
+constexpr std::size_t kMaxWeightOperand = std::size_t{1} << 18;
 
 struct PlanKey {
   GemmOp op;
@@ -108,20 +102,7 @@ struct Device::Impl {
   std::atomic<std::uint64_t> workspace_leases{0};
   std::atomic<std::uint64_t> workspace_reuses{0};
   std::atomic<std::uint64_t> bytes_allocated{0};
-
-  Kind kind = Kind::kBlocked;
 };
-
-const char* compute_dtype_name(ComputeDType dtype) noexcept {
-  return dtype == ComputeDType::kFp16 ? "fp16" : "fp32";
-}
-
-ComputeDType parse_compute_dtype(const std::string& name) {
-  if (name == "fp32") return ComputeDType::kFp32;
-  if (name == "fp16") return ComputeDType::kFp16;
-  SUBFEDAVG_CHECK(false, "unknown compute dtype '" << name << "' (fp32 | fp16)");
-  return ComputeDType::kFp32;  // unreachable
-}
 
 // -- WorkspaceLease -----------------------------------------------------------
 
@@ -156,13 +137,8 @@ void WorkspaceLease::reset() noexcept {
 
 // -- Device -------------------------------------------------------------------
 
-Device::Device(const MathBackend& kernels, ComputeDType compute)
-    : kernels_(kernels),
-      compute_(compute),
-      backend_name_(kernels.name()),
-      name_(compute == ComputeDType::kFp16 ? backend_name_ + "+fp16" : backend_name_),
-      impl_(new Impl) {
-  impl_->kind = kind_of(kernels);
+Device::Device(std::string name, Kind kind)
+    : kind_(kind), name_(std::move(name)), impl_(new Impl) {
   static const int fork_guard =
       ::pthread_atfork(&lock_all_for_fork, &unlock_all_after_fork, &unlock_all_after_fork);
   (void)fork_guard;
@@ -225,12 +201,12 @@ DeviceStats Device::stats() const noexcept {
 
 void Device::im2col(const float* image, const ConvGeometry& g, float* columns,
                     std::size_t col_stride, std::size_t col_offset) const {
-  kernels_.im2col(image, g, columns, col_stride, col_offset);
+  im2col_strided(image, g, columns, col_stride, col_offset);
 }
 
 void Device::col2im(const float* columns, const ConvGeometry& g, float* image,
                     std::size_t col_stride, std::size_t col_offset) const {
-  kernels_.col2im(columns, g, image, col_stride, col_offset);
+  col2im_strided(columns, g, image, col_stride, col_offset);
 }
 
 namespace {
@@ -245,44 +221,53 @@ std::pair<const float*, std::size_t> weight_operand(GemmOp op, WeightSide side,
   return {nullptr, 0};
 }
 
+/// The sparse device's stateless per-call inspection for operands without a
+/// weight-side hint: A when it is sparse enough (nn/tn), else a
+/// weight-sized B (nn/nt), else neither. The size gate keeps im2col
+/// activation matrices — which conv's dW puts on the B side — from being
+/// scanned or packed per call.
+WeightSide inspect_sparse_side(GemmOp op, const float* a, const float* b, std::size_t m,
+                               std::size_t k, std::size_t n) noexcept {
+  const double threshold = sparse_density_threshold();
+  if (op != GemmOp::kNT && kern::density(a, m * k) <= threshold) return WeightSide::kA;
+  if (op != GemmOp::kTN && k * n <= kMaxWeightOperand &&
+      kern::density(b, k * n) <= threshold) {
+    return WeightSide::kB;
+  }
+  return WeightSide::kNone;
+}
+
+/// The naive device: tensor/gemm.h's unchunked reference loops.
+void naive_gemm(GemmOp op, const float* a, const float* b, float* c, std::size_t m,
+                std::size_t k, std::size_t n, bool accumulate) noexcept {
+  switch (op) {
+    case GemmOp::kNN:
+      if (accumulate) {
+        gemm_accumulate(a, b, c, m, k, n);
+      } else {
+        gemm(a, b, c, m, k, n);
+      }
+      break;
+    case GemmOp::kTN: gemm_at_b(a, b, c, m, k, n, accumulate); break;
+    case GemmOp::kNT: gemm_a_bt(a, b, c, m, k, n, accumulate); break;
+  }
+}
+
 }  // namespace
 
 void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, bool accumulate, WeightSide weight_side,
-                  std::uint64_t weight_uid, std::uint64_t weight_epoch,
-                  const GemmEpilogue* epilogue) const {
+                  std::uint64_t weight_uid, std::uint64_t weight_epoch) const {
   static telemetry::Counter& plan_hit_c = telemetry::counter("device.plan_hit");
   static telemetry::Counter& plan_miss_c = telemetry::counter("device.plan_miss");
   static telemetry::Counter& density_scan_c = telemetry::counter("device.density_scan");
 
-  if (kern::handle_trivial(c, m, k, n, accumulate)) {
-    if (epilogue != nullptr && m > 0 && n > 0) kern::apply_epilogue_rows(c, n, 0, m, *epilogue);
-    return;
-  }
-
-  // fp16 compute: stage both operands through the half round-trip, then run
-  // the fp32 kernels (fp32 accumulation) on the staged panels.
-  const float* ea = a;
-  const float* eb = b;
-  WorkspaceLease a16, b16;
-  if (compute_ == ComputeDType::kFp16) {
-    const std::size_t a_size = op == GemmOp::kTN ? k * m : m * k;
-    const std::size_t b_size = op == GemmOp::kNT ? n * k : k * n;
-    a16 = lease(a_size);
-    b16 = lease(b_size);
-    stage_fp16(a, a16.data(), a_size);
-    stage_fp16(b, b16.data(), b_size);
-    ea = a16.data();
-    eb = b16.data();
-  }
+  if (kern::handle_trivial(c, m, k, n, accumulate)) return;
 
   // Resolve the execution plan: chunk fan-out always; sparse-vs-dense only on
-  // the sparse kernel set. Density is computed on the staged (fp16) operand so
-  // the decision matches what the kernels will actually see; the half
-  // round-trip preserves zeros, so in practice it equals the fp32 decision.
-  const auto [weight_ptr, weight_size] =
-      weight_operand(op, weight_side, ea, eb, m, k, n);
-  const bool want_sparse_decision = impl_->kind == Kind::kSparse && weight_ptr != nullptr;
+  // the sparse device, for a hinted weight operand.
+  const auto [weight_ptr, weight_size] = weight_operand(op, weight_side, a, b, m, k, n);
+  const bool want_sparse_decision = kind_ == Kind::kSparse && weight_ptr != nullptr;
 
   Plan plan;
   bool hit = true;
@@ -301,7 +286,7 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
     plan.chunks = entry.chunks;
     if (want_sparse_decision) {
       if (weight_uid == 0) {
-        need_scan = true;  // anonymous operand: legacy per-call behaviour
+        need_scan = true;  // anonymous operand: scan per call
         hit = false;
       } else {
         auto it = std::find_if(entry.decisions.begin(), entry.decisions.end(),
@@ -341,32 +326,26 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
     plan_miss_c.add();
   }
 
-  execute(op, weight_side, ea, eb, c, m, k, n, accumulate, plan.chunks, plan.use_sparse,
-          want_sparse_decision, epilogue);
+  execute(op, weight_side, a, b, c, m, k, n, accumulate, plan.chunks, plan.use_sparse,
+          want_sparse_decision);
 }
 
 void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
                      std::size_t m, std::size_t k, std::size_t n, bool accumulate,
-                     std::size_t chunks, bool use_sparse, bool sparse_decided,
-                     const GemmEpilogue* ep) const {
-  // Sparse kernel set without a weight-side hint (e.g. raw math_backend()
-  // callers routed through device_for): keep SparseBackend's stateless
-  // per-call inspection behaviour.
-  if (impl_->kind == Kind::kSparse && !sparse_decided) {
-    switch (op) {
-      case GemmOp::kNN: kernels_.gemm_nn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kTN: kernels_.gemm_tn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kNT: kernels_.gemm_nt(a, b, c, m, k, n, accumulate); break;
-    }
-    if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
+                     std::size_t chunks, bool use_sparse, bool sparse_decided) const {
+  if (kind_ == Kind::kNaive) {
+    naive_gemm(op, a, b, c, m, k, n, accumulate);
     return;
   }
+  if (kind_ == Kind::kSparse && !sparse_decided) {
+    side = inspect_sparse_side(op, a, b, m, k, n);
+    use_sparse = side != WeightSide::kNone;
+  }
 
-  if (impl_->kind == Kind::kSparse && use_sparse) {
-    // Planned sparse execution: the decision is cached, so only pack + run
-    // here. "Weight on A, un/transposed" becomes per-output-row CSR + axpy;
-    // "weight on B" becomes per-output-column CSR + dot. Epilogues apply as a
-    // post-pass — same scalar expressions, same bits as the fused store-back.
+  if (use_sparse) {
+    // Only pack + run here: "weight on A, un/transposed" becomes
+    // per-output-row CSR + axpy; "weight on B" becomes per-output-column
+    // CSR + dot.
     kern::Csr csr;
     bool axpy = false;
     if (side == WeightSide::kA && op == GemmOp::kNN) {
@@ -396,34 +375,17 @@ void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b,
                                  k, n, i0, i1, accumulate);
         });
       }
-      if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
       return;
     }
   }
 
-  // Dense execution with the cached fan-out (naive runs unchunked).
-  if (impl_->kind == Kind::kNaive) {
-    switch (op) {
-      case GemmOp::kNN: kernels_.gemm_nn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kTN: kernels_.gemm_tn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kNT: kernels_.gemm_nt(a, b, c, m, k, n, accumulate); break;
-    }
-    if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
-    return;
-  }
-
+  // Dense blocked execution with the planned fan-out.
   switch (op) {
     case GemmOp::kNN:
-      if (ep != nullptr) {
-        kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-          kern::gemm_panel_nn_fused(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate, *ep);
-        });
-        return;
-      }
       kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
         kern::gemm_panel_nn(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate);
       });
-      return;
+      break;
     case GemmOp::kTN:
       kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
         kern::gemm_panel_tn(a, b, c, /*lda=*/m, k, n, i0, i1, accumulate);
@@ -435,7 +397,6 @@ void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b,
       });
       break;
   }
-  if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
 }
 
 // -- registry -----------------------------------------------------------------
@@ -447,12 +408,19 @@ std::mutex& registry_mutex() {
   return mu;
 }
 
-std::map<std::pair<std::string, int>, Device*>& registry() {
+std::map<std::string, Device*>& registry() {
   // Heap-allocated and never destroyed — not a plain static — so the devices
   // stay *reachable* through it at exit: LSan would otherwise report every
   // device (and its pooled workspaces) once the map's nodes were freed.
-  static auto* reg = new std::map<std::pair<std::string, int>, Device*>;
+  static auto* reg = new std::map<std::string, Device*>;
   return *reg;
+}
+
+const Kind* find_kind(const std::string& name) noexcept {
+  for (const auto& [known, kind] : kDevices) {
+    if (name == known) return &kind;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -477,48 +445,28 @@ void Device::unlock_all_after_fork() noexcept {
   registry_mutex().unlock();
 }
 
-const Device& get_device(const std::string& backend, ComputeDType dtype) {
-  SUBFEDAVG_CHECK(has_math_backend(backend),
-                  "unknown device '" << backend
-                                     << "' (naive | blocked | sparse; compute fp32 | fp16)");
-  const MathBackend& kernels = math_backend(backend);
+const Device& get_device(const std::string& name) {
+  const Kind* kind = find_kind(name);
+  SUBFEDAVG_CHECK(kind != nullptr, "unknown device '" << name << "' (naive | blocked | sparse)");
   std::lock_guard<std::mutex> lock(registry_mutex());
-  Device*& slot = registry()[{backend, static_cast<int>(dtype)}];
+  Device*& slot = registry()[name];
   // Intentionally never destroyed: leases held by static-lifetime objects may
   // drain back into the pool during any phase of shutdown.
-  if (slot == nullptr) slot = new Device(kernels, dtype);
+  if (slot == nullptr) slot = new Device(name, *kind);
   return *slot;
 }
 
-const Device& get_device(const std::string& backend, const std::string& compute) {
-  return get_device(backend, parse_compute_dtype(compute));
-}
-
-bool has_device(const std::string& backend) { return has_math_backend(backend); }
+bool has_device(const std::string& name) { return find_kind(name) != nullptr; }
 
 std::vector<std::string> list_devices() {
   std::vector<std::string> names;
-  for (const std::string& backend : list_math_backends()) {
-    names.push_back(backend);
-    names.push_back(backend + "+fp16");
-  }
-  std::sort(names.begin(), names.end());
+  for (const auto& [name, kind] : kDevices) names.emplace_back(name);
   return names;
 }
 
 const Device& default_device() {
-  static const Device& device = get_device(env_string("SUBFEDAVG_BACKEND", "blocked"),
-                                           env_string("SUBFEDAVG_COMPUTE", "fp32"));
+  static const Device& device = get_device(env_string("SUBFEDAVG_BACKEND", "blocked"));
   return device;
-}
-
-const Device& device_for(const MathBackend& kernels) {
-  return get_device(kernels.name(), ComputeDType::kFp32);
-}
-
-bool fused_epilogues_default() noexcept {
-  static const bool fused = env_int("SUBFEDAVG_FUSED", 1) != 0;
-  return fused;
 }
 
 }  // namespace subfed

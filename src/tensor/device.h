@@ -1,29 +1,21 @@
-// Storage-owning compute devices.
-//
-// PR 3's MathBackend multiplies but never owns memory: every Conv2d
-// hand-manages workspace vectors, the sparse backend re-inspects weight
-// density on every call, and nothing remembers how a shape was executed last
-// time. Device promotes that seam to an interface that owns staging buffers
-// and execution state (the poplibs ConvPlan shape — plan once, reuse across
-// calls — rather than darknet's layer-holds-device-buffers shape):
+// Storage-owning compute devices — the upper of the compute stack's two
+// layers. A Device dispatches on its kind (naive | blocked | sparse) straight
+// to the kernels of the lower layer (tensor/kernels.h, and tensor/gemm.h's
+// reference loops for naive) and owns what the kernels alone can't hold:
 //
 //   * workspace leases — layers lease scratch from a per-device pooled
 //     allocator (RAII WorkspaceLease) instead of owning grow-only vectors;
-//   * an execution-plan cache keyed on (op, m/k/n, weight side) per device
-//     (dtype is per-device) that picks the thread fan-out once and caches the
+//   * an execution-plan cache keyed on (op, m/k/n, weight side) that picks
+//     the thread fan-out once and, on the sparse device, caches the
 //     sparse-vs-dense decision per weight (parameter uid + mask epoch, so a
-//     pruning pass invalidates it) instead of rescanning density per call;
-//   * fused conv→batchnorm→activation epilogues applied in the blocked
-//     GEMM's register tiles (see tensor/kernels.h, GemmEpilogue);
-//   * an fp16 compute mode that stages A/B panels through the wire-format
-//     round-to-nearest casts (comm/quantize.h) with fp32 accumulation.
+//     pruning pass invalidates it) instead of rescanning density per call.
 //
 // Devices are process-lifetime singletons, safe to share across threads and
 // to keep using in a fork()ed child.
 // Determinism: per device, results are bit-identical for any math_threads
 // value (plans only choose fan-out and kernels accumulate in ascending-k
-// order); fp16 staging is elementwise and deterministic. Across devices the
-// equivalence suite compares within tolerance — documented looser for fp16.
+// order). Across devices results may differ by floating-point contraction;
+// tests/test_backend.cpp compares them within a tight tolerance.
 #pragma once
 
 #include <cstddef>
@@ -33,20 +25,11 @@
 #include <vector>
 
 #include "tensor/gemm.h"
-#include "tensor/kernels.h"
 
 namespace subfed {
 
-class MathBackend;
-
-enum class ComputeDType : std::uint8_t { kFp32 = 0, kFp16 = 1 };
-
-const char* compute_dtype_name(ComputeDType dtype) noexcept;
-/// Parses "fp32" | "fp16" (throws CheckError listing the names otherwise).
-ComputeDType parse_compute_dtype(const std::string& name);
-
-/// GEMM orientation, matching MathBackend's three entry points:
-/// kNN: C = A[m×k]·B[k×n]; kTN: A stored [k×m]; kNT: B stored [n×k].
+/// GEMM orientation: kNN: C = A[m×k]·B[k×n]; kTN: A stored [k×m];
+/// kNT: B stored [n×k].
 enum class GemmOp : std::uint8_t { kNN, kTN, kNT };
 
 /// Which GEMM operand is a layer weight with a pruning-stable sparsity
@@ -102,22 +85,20 @@ struct DeviceStats {
   std::uint64_t plan_entries = 0;     ///< current plan-cache size
 };
 
-/// A compute device: a MathBackend kernel set + compute dtype + the owned
-/// state described above. All methods are const and thread-safe; the mutable
-/// plan/pool state is internally synchronized.
+/// A compute device: a kernel set plus the owned state described above. All
+/// methods are const and thread-safe; the mutable plan/pool state is
+/// internally synchronized. Resolve devices through get_device().
 class Device {
  public:
-  Device(const MathBackend& kernels, ComputeDType compute);
+  enum class Kind : std::uint8_t { kNaive, kBlocked, kSparse };
+
+  Device(std::string name, Kind kind);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  /// "blocked", "sparse+fp16", … — backend name plus a dtype suffix.
+  /// "naive" | "blocked" | "sparse".
   const std::string& name() const noexcept { return name_; }
-  const std::string& backend_name() const noexcept { return backend_name_; }
-  ComputeDType compute() const noexcept { return compute_; }
-  /// The raw kernel set this device executes through.
-  const MathBackend& kernels() const noexcept { return kernels_; }
 
   // --- storage ---------------------------------------------------------------
 
@@ -135,12 +116,13 @@ class Device {
   /// when `weight_side` names a weight operand, pass the owning Parameter's
   /// `uid`/`mask_epoch` so the sparse-vs-dense decision is cached until the
   /// next pruning pass instead of rescanned per call (uid 0 = unknown, scan
-  /// per call). `epilogue` fuses a conv→bn→activation tail into the store-back
-  /// (bit-identical to the unfused layer chain, any device kind).
+  /// per call). On the sparse device an operand with no weight-side hint is
+  /// inspected per call instead: A, then a weight-sized B, goes CSR when its
+  /// density is at or below sparse_density_threshold().
   void gemm(GemmOp op, const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n, bool accumulate,
             WeightSide weight_side = WeightSide::kNone, std::uint64_t weight_uid = 0,
-            std::uint64_t weight_epoch = 0, const GemmEpilogue* epilogue = nullptr) const;
+            std::uint64_t weight_epoch = 0) const;
 
   void im2col(const float* image, const ConvGeometry& g, float* columns,
               std::size_t col_stride, std::size_t col_offset) const;
@@ -162,42 +144,27 @@ class Device {
   void release(float* data, std::size_t floats) const noexcept;
   void execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
                std::size_t m, std::size_t k, std::size_t n, bool accumulate,
-               std::size_t chunks, bool use_sparse, bool sparse_decided,
-               const GemmEpilogue* epilogue) const;
+               std::size_t chunks, bool use_sparse, bool sparse_decided) const;
 
-  const MathBackend& kernels_;
-  ComputeDType compute_;
-  std::string backend_name_;
+  Kind kind_;
   std::string name_;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Device registry: backend names ("naive" | "blocked" | "sparse") × compute
-/// dtypes resolve to process-lifetime singletons. Throws CheckError listing
-/// the valid combinations on an unknown backend name.
-const Device& get_device(const std::string& backend,
-                         ComputeDType dtype = ComputeDType::kFp32);
-/// Convenience overload parsing `compute` ("fp32" | "fp16").
-const Device& get_device(const std::string& backend, const std::string& compute);
+/// Device registry: "naive" | "blocked" | "sparse" resolve to
+/// process-lifetime singletons. Throws CheckError listing the valid names on
+/// an unknown one.
+const Device& get_device(const std::string& name);
 
-/// True when `backend` names a registered kernel set.
-bool has_device(const std::string& backend);
+/// True when `name` names a registered device.
+bool has_device(const std::string& name);
 
-/// Every device name the registry resolves: backend names plus their "+fp16"
-/// variants, sorted.
+/// Every registered device name, sorted.
 std::vector<std::string> list_devices();
 
-/// The process-wide default device: SUBFEDAVG_BACKEND (default "blocked") at
-/// SUBFEDAVG_COMPUTE (default "fp32"). Resolved once; a bad env value throws
-/// on first use (ExperimentSpec::make_context resolves eagerly).
+/// The process-wide default device: SUBFEDAVG_BACKEND (default "blocked").
+/// Resolved once; a bad env value throws on first use
+/// (ExperimentSpec::make_context resolves eagerly).
 const Device& default_device();
-
-/// The fp32 device wrapping `kernels` — the shim Layer::set_backend uses to
-/// keep the deprecated MathBackend pointer API working.
-const Device& device_for(const MathBackend& kernels);
-
-/// Process default for fusing conv→bn→activation epilogues into eval-mode
-/// GEMMs: SUBFEDAVG_FUSED (default on). Model::set_fusion overrides per model.
-bool fused_epilogues_default() noexcept;
 
 }  // namespace subfed

@@ -36,8 +36,8 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
 }
 
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n) noexcept {
-  std::memset(c, 0, m * n * sizeof(float));
+               std::size_t n, bool accumulate) noexcept {
+  if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
   // C[i,j] = sum_p A[p,i] * B[p,j] — stream rows of A and B together.
   for (std::size_t p = 0; p < k; ++p) {
     const float* arow = a + p * m;
@@ -52,7 +52,7 @@ void gemm_at_b(const float* a, const float* b, float* c, std::size_t m, std::siz
 }
 
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n) noexcept {
+               std::size_t n, bool accumulate) noexcept {
   // C[i,j] = dot(A row i, B row j); both rows are unit-stride.
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
@@ -61,7 +61,7 @@ void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m, std::siz
       const float* brow = b + j * k;
       float acc = 0.0f;
       for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
+      crow[j] = accumulate ? crow[j] + acc : acc;
     }
   }
 }

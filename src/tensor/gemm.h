@@ -17,13 +17,13 @@ void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n) noexcept;
 
-/// C[m×n] = Aᵀ[m×k] · B[k×n] where A is stored [k×m].
+/// C[m×n] (+)= Aᵀ[m×k] · B[k×n] where A is stored [k×m].
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n) noexcept;
+               std::size_t n, bool accumulate = false) noexcept;
 
-/// C[m×n] = A[m×k] · Bᵀ[k×n] where B is stored [n×k].
+/// C[m×n] (+)= A[m×k] · Bᵀ[k×n] where B is stored [n×k].
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n) noexcept;
+               std::size_t n, bool accumulate = false) noexcept;
 
 /// Geometry of one conv layer application, shared by im2col and col2im.
 struct ConvGeometry {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 
 #include "tensor/backend.h"
@@ -10,7 +9,7 @@
 
 namespace subfed {
 
-// --- process-wide kernel knobs (declared in kernels.h) -----------------------
+// --- process-wide kernel knobs (declared in backend.h) -----------------------
 
 namespace {
 std::atomic<std::size_t> g_math_threads{static_cast<std::size_t>(
@@ -68,10 +67,8 @@ std::size_t plan_chunks(std::size_t m, std::size_t flops) noexcept {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SUBFED_ALWAYS_INLINE inline __attribute__((always_inline))
-#define SUBFED_NOINLINE __attribute__((noinline))
 #else
 #define SUBFED_ALWAYS_INLINE inline
-#define SUBFED_NOINLINE
 #endif
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -89,40 +86,6 @@ bool cpu_has_avx2_fma() noexcept {
 #endif
 
 namespace {
-
-/// The one compiled instance of the epilogue arithmetic. Deliberately
-/// noinline and outside any target-attributed region: FMA contraction inside
-/// the AVX2 clones would otherwise change the epilogue's rounding relative to
-/// the unfused BatchNorm2d/ReLU passes (plain SSE2 code), breaking the
-/// fused ≡ unfused bit-identity contract. One pinned instance makes the
-/// fused store-back, the sparse/naive post-pass, and the unfused layer chain
-/// all round identically.
-///
-/// Applies the epilogue to `count` elements of output row `row`:
-///   y = accumulate ? dst[j] + src[j] : src[j]; then bias/bn/relu (see
-///   GemmEpilogue). src may alias dst (in-place post-pass).
-SUBFED_NOINLINE void epilogue_store(const float* src, float* dst, std::size_t count,
-                                    std::size_t row, const GemmEpilogue& ep,
-                                    bool accumulate) noexcept {
-  float bias = 0.0f;
-  if (ep.bias != nullptr) bias = ep.bias[row];
-  const bool has_bn = ep.mean != nullptr;
-  // Same expression (and float ops) as BatchNorm2d's eval forward.
-  const float inv_std = has_bn ? 1.0f / std::sqrt(ep.var[row] + ep.eps) : 0.0f;
-  const float g = has_bn ? ep.gamma[row] : 0.0f;
-  const float b = has_bn ? ep.beta[row] : 0.0f;
-  const float m = has_bn ? ep.mean[row] : 0.0f;
-  for (std::size_t j = 0; j < count; ++j) {
-    float y = accumulate ? dst[j] + src[j] : src[j];
-    // Conv2d adds its bias only when nonzero (the zero case is a memcpy), so
-    // the fused path must skip the add too: y + 0.0f would turn -0.0 into
-    // +0.0 and break bit-identity.
-    if (bias != 0.0f) y += bias;
-    if (has_bn) y = g * (y - m) * inv_std + b;
-    if (ep.relu && !(y > 0.0f)) y = 0.0f;
-    dst[j] = y;
-  }
-}
 
 // GCC/Clang generic vector extensions: the autovectorizer does not keep the
 // register tile live across the k loop on its own, so the accumulators are
@@ -147,14 +110,11 @@ SUBFED_ALWAYS_INLINE void store8(float* p, v8sf v) noexcept {
 /// (`bpanel`, row stride ldb — either b + j inside the full matrix, or a
 /// packed zero-padded [k×kNr] buffer). Writes back the first `nr` columns to
 /// cpanel (= c + j). Every output element accumulates in ascending-k order.
-/// With kFused the accumulators route through epilogue_store instead of the
-/// raw store, so the epilogue reads them straight out of registers without a
-/// second pass over the output tensor.
-template <std::size_t MR, bool kTransposedA, bool kFused>
+template <std::size_t MR, bool kTransposedA>
 SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t lda,
                                      const float* bpanel, std::size_t ldb, float* cpanel,
                                      std::size_t ldc, std::size_t k, std::size_t nr,
-                                     bool accumulate, const GemmEpilogue* ep) noexcept {
+                                     bool accumulate) noexcept {
 #if SUBFED_VECTOR_TILE
   static_assert(kNr == 16, "tile uses two 8-wide vectors per row");
   v8sf acc0[MR] = {}, acc1[MR] = {};
@@ -171,12 +131,7 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
   }
   for (std::size_t r = 0; r < MR; ++r) {
     float* crow = cpanel + (i + r) * ldc;
-    if constexpr (kFused) {
-      float tile[kNr];
-      store8(tile, acc0[r]);
-      store8(tile + 8, acc1[r]);
-      epilogue_store(tile, crow, nr, i + r, *ep, accumulate);
-    } else if (nr == kNr) {
+    if (nr == kNr) {
       if (accumulate) {
         store8(crow, load8(crow) + acc0[r]);
         store8(crow + 8, load8(crow + 8) + acc1[r]);
@@ -204,12 +159,8 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
   }
   for (std::size_t r = 0; r < MR; ++r) {
     float* crow = cpanel + (i + r) * ldc;
-    if constexpr (kFused) {
-      epilogue_store(acc[r], crow, nr, i + r, *ep, accumulate);
-    } else {
-      for (std::size_t jj = 0; jj < nr; ++jj) {
-        crow[jj] = accumulate ? crow[jj] + acc[r][jj] : acc[r][jj];
-      }
+    for (std::size_t jj = 0; jj < nr; ++jj) {
+      crow[jj] = accumulate ? crow[jj] + acc[r][jj] : acc[r][jj];
     }
   }
 #endif
@@ -232,20 +183,17 @@ std::vector<float>& packing_scratch(std::size_t size) {
 /// tiles for the tail. Which rows take the tail path depends only on i1
 /// (always the matrix edge or a kMr-aligned chunk boundary), and both tile
 /// widths accumulate identically, so threading cannot change results.
-template <bool kTransposedA, bool kFused>
+template <bool kTransposedA>
 SUBFED_ALWAYS_INLINE void tile_rows(const float* a, std::size_t lda, const float* bpanel,
                                     std::size_t ldb, float* cpanel, std::size_t ldc,
                                     std::size_t i0, std::size_t i1, std::size_t k,
-                                    std::size_t nr, bool accumulate,
-                                    const GemmEpilogue* ep) noexcept {
+                                    std::size_t nr, bool accumulate) noexcept {
   std::size_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    micro_tile<kMr, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
-                                          accumulate, ep);
+    micro_tile<kMr, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, accumulate);
   }
   for (; i < i1; ++i) {
-    micro_tile<1, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
-                                        accumulate, ep);
+    micro_tile<1, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, accumulate);
   }
 }
 
@@ -254,16 +202,14 @@ SUBFED_ALWAYS_INLINE void tile_rows(const float* a, std::size_t lda, const float
 /// micro-tile applies. Always-inline so the multiversioned wrappers below
 /// compile the whole loop nest per ISA (target_clones cannot attach to
 /// templates directly).
-template <bool kTransposedA, bool kFused>
+template <bool kTransposedA>
 SUBFED_ALWAYS_INLINE void gemm_panel(const float* a, const float* b, float* c,
                                      std::size_t lda, std::size_t k, std::size_t n,
-                                     std::size_t i0, std::size_t i1, bool accumulate,
-                                     const GemmEpilogue* ep) {
+                                     std::size_t i0, std::size_t i1, bool accumulate) {
   const std::size_t tail = n % kNr;
   const std::size_t j_end = n - tail;
   for (std::size_t j = 0; j < j_end; j += kNr) {
-    tile_rows<kTransposedA, kFused>(a, lda, b + j, n, c + j, n, i0, i1, k, kNr,
-                                    accumulate, ep);
+    tile_rows<kTransposedA>(a, lda, b + j, n, c + j, n, i0, i1, k, kNr, accumulate);
   }
   if (tail != 0) {
     std::vector<float>& packed = packing_scratch(k * kNr);
@@ -273,8 +219,8 @@ SUBFED_ALWAYS_INLINE void gemm_panel(const float* a, const float* b, float* c,
       }
       for (std::size_t jj = tail; jj < kNr; ++jj) packed[p * kNr + jj] = 0.0f;
     }
-    tile_rows<kTransposedA, kFused>(a, lda, packed.data(), kNr, c + j_end, n, i0, i1, k,
-                                    tail, accumulate, ep);
+    tile_rows<kTransposedA>(a, lda, packed.data(), kNr, c + j_end, n, i0, i1, k, tail,
+                            accumulate);
   }
 }
 
@@ -292,8 +238,7 @@ SUBFED_ALWAYS_INLINE void gemm_panel_nt_body(const float* a, const float* b, flo
       const float* brow = b + (j + jj) * k;
       for (std::size_t p = 0; p < k; ++p) packed[p * kNr + jj] = brow[p];
     }
-    tile_rows<false, false>(a, k, packed.data(), kNr, c + j, n, i0, i1, k, nr, accumulate,
-                            nullptr);
+    tile_rows<false>(a, k, packed.data(), kNr, c + j, n, i0, i1, k, nr, accumulate);
   }
 }
 
@@ -305,25 +250,18 @@ SUBFED_AVX2_TARGET void gemm_panel_nn_avx2(const float* a, const float* b, float
                                            std::size_t lda, std::size_t k, std::size_t n,
                                            std::size_t i0, std::size_t i1,
                                            bool accumulate) {
-  gemm_panel<false, false>(a, b, c, lda, k, n, i0, i1, accumulate, nullptr);
+  gemm_panel<false>(a, b, c, lda, k, n, i0, i1, accumulate);
 }
 SUBFED_AVX2_TARGET void gemm_panel_tn_avx2(const float* a, const float* b, float* c,
                                            std::size_t lda, std::size_t k, std::size_t n,
                                            std::size_t i0, std::size_t i1,
                                            bool accumulate) {
-  gemm_panel<true, false>(a, b, c, lda, k, n, i0, i1, accumulate, nullptr);
+  gemm_panel<true>(a, b, c, lda, k, n, i0, i1, accumulate);
 }
 SUBFED_AVX2_TARGET void gemm_panel_nt_avx2(const float* a, const float* b, float* c,
                                            std::size_t k, std::size_t n, std::size_t i0,
                                            std::size_t i1, bool accumulate) {
   gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate);
-}
-SUBFED_AVX2_TARGET void gemm_panel_nn_fused_avx2(const float* a, const float* b, float* c,
-                                                 std::size_t lda, std::size_t k,
-                                                 std::size_t n, std::size_t i0,
-                                                 std::size_t i1, bool accumulate,
-                                                 const GemmEpilogue& ep) {
-  gemm_panel<false, true>(a, b, c, lda, k, n, i0, i1, accumulate, &ep);
 }
 #endif
 
@@ -338,7 +276,7 @@ void gemm_panel_nn(const float* a, const float* b, float* c, std::size_t lda,
     return;
   }
 #endif
-  gemm_panel<false, false>(a, b, c, lda, k, n, i0, i1, accumulate, nullptr);
+  gemm_panel<false>(a, b, c, lda, k, n, i0, i1, accumulate);
 }
 
 void gemm_panel_tn(const float* a, const float* b, float* c, std::size_t lda,
@@ -350,7 +288,7 @@ void gemm_panel_tn(const float* a, const float* b, float* c, std::size_t lda,
     return;
   }
 #endif
-  gemm_panel<true, false>(a, b, c, lda, k, n, i0, i1, accumulate, nullptr);
+  gemm_panel<true>(a, b, c, lda, k, n, i0, i1, accumulate);
 }
 
 void gemm_panel_nt(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
@@ -362,26 +300,6 @@ void gemm_panel_nt(const float* a, const float* b, float* c, std::size_t k, std:
   }
 #endif
   gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate);
-}
-
-void gemm_panel_nn_fused(const float* a, const float* b, float* c, std::size_t lda,
-                         std::size_t k, std::size_t n, std::size_t i0, std::size_t i1,
-                         bool accumulate, const GemmEpilogue& ep) {
-#if SUBFED_X86_DISPATCH
-  if (cpu_has_avx2_fma()) {
-    gemm_panel_nn_fused_avx2(a, b, c, lda, k, n, i0, i1, accumulate, ep);
-    return;
-  }
-#endif
-  gemm_panel<false, true>(a, b, c, lda, k, n, i0, i1, accumulate, &ep);
-}
-
-void apply_epilogue_rows(float* c, std::size_t n, std::size_t i0, std::size_t i1,
-                         const GemmEpilogue& ep) noexcept {
-  for (std::size_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    epilogue_store(crow, crow, n, i, ep, /*accumulate=*/false);
-  }
 }
 
 // --- sparse kernels ----------------------------------------------------------

@@ -1,15 +1,17 @@
-// Internal kernel layer shared by the MathBackend singletons (backend.cpp)
-// and the Device execution engine (device.cpp).
+// The kernel layer: register-tiled dense panels, CSR sparse panels and the
+// row-chunk runner. Stateless apart from the process-wide knobs in
+// tensor/backend.h.
 //
-// Everything here used to live in backend.cpp's anonymous namespace; the
-// Device redesign splits the stack into three layers:
+// The compute stack has two layers:
 //
-//   tensor/kernels.h  — raw panel/sparse kernels + the row-chunk runner
-//                       (this header; no state beyond the math-thread cap)
-//   tensor/backend.h  — the stateless MathBackend kernel sets (kept as the
-//                       oracle/dispatch seam and for backward compatibility)
-//   tensor/device.h   — storage-owning devices: plan cache, workspace pool,
-//                       compute dtype, fused epilogues
+//   tensor/kernels.h  — this header: kernels that compute rows [i0, i1) of a
+//                       GEMM output, and the runner that spreads row chunks
+//                       over the thread pool (tensor/gemm.h holds the naive
+//                       reference loops and im2col/col2im)
+//   tensor/device.h   — storage-owning devices (naive | blocked | sparse):
+//                       each dispatches straight to its kernels, plans the
+//                       fan-out, caches sparse-vs-dense decisions per weight,
+//                       and pools workspace
 //
 // Determinism contract (inherited by every caller): each output element is
 // accumulated in ascending-k order regardless of how row panels are chunked,
@@ -20,34 +22,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/gemm.h"
 #include "util/thread_pool.h"
 
 namespace subfed {
-
-/// Fused post-GEMM epilogue, applied to each output element C[row, j] in the
-/// register tile right before store-back (blocked kernels) or as a row-wise
-/// post-pass (naive/sparse kernels — same scalar expressions, same bits):
-///
-///   y = C[row, j]
-///   if bias   && bias[row] != 0:  y += bias[row]
-///   if mean:                      y = gamma[row]·(y − mean[row])·rsqrt + beta[row]
-///                                 with rsqrt = 1/sqrt(var[row] + eps)
-///   if relu   && !(y > 0):        y = 0
-///
-/// These are exactly the scalar operations (and order) the unfused
-/// Conv2d → BatchNorm2d(eval) → ReLU chain performs, so fused and unfused
-/// eval forwards are bit-identical — tests/test_device.cpp pins this.
-struct GemmEpilogue {
-  const float* bias = nullptr;   ///< [m] conv bias, or nullptr
-  const float* mean = nullptr;   ///< [m] bn running mean (all four or none)
-  const float* var = nullptr;    ///< [m] bn running variance
-  const float* gamma = nullptr;  ///< [m] bn scale
-  const float* beta = nullptr;   ///< [m] bn shift
-  float eps = 0.0f;
-  bool relu = false;
-};
-
 namespace kern {
 
 // Register-tile geometry of the blocked kernels (see kernels.cpp).
@@ -89,12 +66,6 @@ void run_row_chunks(std::size_t m, std::size_t chunks, const Fn& fn) {
   });
 }
 
-/// plan_chunks + run_row_chunks in one step, for callers with no plan cache.
-template <typename Fn>
-void for_row_chunks(std::size_t m, std::size_t flops, const Fn& fn) {
-  run_row_chunks(m, plan_chunks(m, flops), fn);
-}
-
 // --- dense panels (AVX2+FMA dispatched internally) --------------------------
 // Rows [i0, i1) of C. nn/tn read B row-major [k×n]; nt reads B stored [n×k].
 // A is row-major [m×k] for nn/nt and stored [k×m] for tn (lda = row stride).
@@ -107,18 +78,6 @@ void gemm_panel_tn(const float* a, const float* b, float* c, std::size_t lda,
                    bool accumulate);
 void gemm_panel_nt(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
                    std::size_t i0, std::size_t i1, bool accumulate);
-
-/// gemm_panel_nn with the epilogue applied inside the register tiles at
-/// store-back — the fused conv→bn→activation path.
-void gemm_panel_nn_fused(const float* a, const float* b, float* c, std::size_t lda,
-                         std::size_t k, std::size_t n, std::size_t i0, std::size_t i1,
-                         bool accumulate, const GemmEpilogue& ep);
-
-/// Elementwise epilogue post-pass over rows [i0, i1) of C [m×n] — the same
-/// per-element expressions as the fused store-back, for kernels that cannot
-/// fuse (naive, sparse). Bit-identical to the fused path.
-void apply_epilogue_rows(float* c, std::size_t n, std::size_t i0, std::size_t i1,
-                         const GemmEpilogue& ep) noexcept;
 
 // --- sparse kernels ----------------------------------------------------------
 

@@ -21,10 +21,6 @@ const std::vector<EnvKnob>& knob_table() {
        "overrides)"},
       {"SUBFEDAVG_BACKEND", "string", "`blocked`",
        "process-default compute device: `naive` | `blocked` | `sparse`"},
-      {"SUBFEDAVG_COMPUTE", "string", "`fp32`",
-       "process-default compute dtype: `fp32` | `fp16` (spec field `compute=` overrides)"},
-      {"SUBFEDAVG_FUSED", "int", "`1`",
-       "fuse conv\xE2\x86\x92""bn\xE2\x86\x92relu epilogues into eval-mode GEMMs (0 disables)"},
       {"SUBFEDAVG_MATH_THREADS", "int", "hardware",
        "row-panel thread cap for the blocked kernels (bit-identical at any value)"},
       {"SUBFEDAVG_SPARSE_DENSITY", "double", "`0.25`",

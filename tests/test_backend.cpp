@@ -1,12 +1,13 @@
-// MathBackend cross-backend equivalence and determinism.
+// Cross-device equivalence and determinism.
 //
-// The naive backend (the seed's reference kernels) is the oracle: blocked and
+// The naive device (the seed's reference kernels) is the oracle: blocked and
 // sparse must match it on every GEMM variant over odd/rectangular shapes,
-// zero-dimension edges, and pruning-masked (mostly-zero) operands. Backends
+// zero-dimension edges, and pruning-masked (mostly-zero) operands. Devices
 // may differ from the oracle by floating-point contraction only, so
-// comparisons use a tight relative tolerance; a FIXED backend across
+// comparisons use a tight relative tolerance; a FIXED device across
 // different math_threads values must be bit-identical — threading never
-// reorders any output element's accumulation.
+// reorders any output element's accumulation. Operands carry no weight-side
+// hint here, so the sparse device runs its stateless per-call inspection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +21,7 @@
 #include "nn/sgd.h"
 #include "nn/trainer.h"
 #include "tensor/backend.h"
+#include "tensor/device.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -59,9 +61,9 @@ struct GemmCase {
 const GemmCase kShapes[] = {{1, 1, 1},   {3, 5, 7},    {4, 16, 16},  {5, 17, 33},
                             {13, 31, 63}, {64, 64, 64}, {10, 400, 120}};
 
-/// Runs one variant on one backend. A/B are sized/laid out per variant:
+/// Runs one variant on one device. A/B are sized/laid out per variant:
 /// nn: A[m×k], B[k×n] · tn: A[k×m], B[k×n] · nt: A[m×k], B[n×k].
-std::vector<float> run_variant(const MathBackend& backend, int variant,
+std::vector<float> run_variant(const Device& device, int variant,
                                const std::vector<float>& a, const std::vector<float>& b,
                                const GemmCase& shape, bool accumulate) {
   // Accumulate targets start from a fixed nonzero pattern so C += is exercised.
@@ -69,19 +71,13 @@ std::vector<float> run_variant(const MathBackend& backend, int variant,
   for (std::size_t i = 0; i < c.size(); ++i) {
     c[i] = accumulate ? 0.25f * static_cast<float>(i % 7) : -99.0f;
   }
-  switch (variant) {
-    case 0: backend.gemm_nn(a.data(), b.data(), c.data(), shape.m, shape.k, shape.n,
-                            accumulate); break;
-    case 1: backend.gemm_tn(a.data(), b.data(), c.data(), shape.m, shape.k, shape.n,
-                            accumulate); break;
-    default: backend.gemm_nt(a.data(), b.data(), c.data(), shape.m, shape.k, shape.n,
-                             accumulate); break;
-  }
+  const GemmOp op = variant == 0 ? GemmOp::kNN : variant == 1 ? GemmOp::kTN : GemmOp::kNT;
+  device.gemm(op, a.data(), b.data(), c.data(), shape.m, shape.k, shape.n, accumulate);
   return c;
 }
 
 void compare_backends_over(double density) {
-  const MathBackend& naive = math_backend("naive");
+  const Device& naive = get_device("naive");
   Rng rng(density < 1.0 ? 7 : 3);
   for (const GemmCase& shape : kShapes) {
     for (int variant = 0; variant < 3; ++variant) {
@@ -94,7 +90,7 @@ void compare_backends_over(double density) {
         const std::vector<float> want = run_variant(naive, variant, a, b, shape, accumulate);
         for (const char* name : {"blocked", "sparse"}) {
           const std::vector<float> got =
-              run_variant(math_backend(name), variant, a, b, shape, accumulate);
+              run_variant(get_device(name), variant, a, b, shape, accumulate);
           expect_close(want, got,
                        std::string(name) + " variant " + std::to_string(variant) + " " +
                            std::to_string(shape.m) + "x" + std::to_string(shape.k) + "x" +
@@ -108,7 +104,7 @@ void compare_backends_over(double density) {
 
 TEST(BackendEquivalence, DenseOddAndRectangularShapes) { compare_backends_over(1.0); }
 
-// 10% density forces the sparse backend through its CSR kernels (threshold
+// 10% density forces the sparse device through its CSR kernels (threshold
 // 0.25); 30% exercises its dense fallback path.
 TEST(BackendEquivalence, MaskedWeightsSparseAndFallback) {
   compare_backends_over(0.10);
@@ -117,8 +113,8 @@ TEST(BackendEquivalence, MaskedWeightsSparseAndFallback) {
 
 TEST(BackendEquivalence, SparseWeightOnBSideOfNN) {
   // Linear::backward's dX = dY·W puts the pruned matrix on the B side of an
-  // nn GEMM; the sparse backend must catch that case too.
-  const MathBackend& naive = math_backend("naive");
+  // nn GEMM; the sparse device must catch that case too.
+  const Device& naive = get_device("naive");
   Rng rng(13);
   const GemmCase shape{10, 120, 400};
   const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 1.0);
@@ -126,7 +122,7 @@ TEST(BackendEquivalence, SparseWeightOnBSideOfNN) {
   for (const bool accumulate : {false, true}) {
     const std::vector<float> want = run_variant(naive, 0, a, b, shape, accumulate);
     for (const char* name : {"blocked", "sparse"}) {
-      expect_close(want, run_variant(math_backend(name), 0, a, b, shape, accumulate),
+      expect_close(want, run_variant(get_device(name), 0, a, b, shape, accumulate),
                    std::string(name) + " nn sparse-B" + (accumulate ? " acc" : ""));
     }
   }
@@ -134,33 +130,19 @@ TEST(BackendEquivalence, SparseWeightOnBSideOfNN) {
 
 TEST(BackendEquivalence, ZeroDimensionEdges) {
   for (const char* name : {"naive", "blocked", "sparse"}) {
-    const MathBackend& backend = math_backend(name);
+    const Device& device = get_device(name);
     std::vector<float> a(8, 1.0f), b(8, 1.0f);
     // k == 0: C is zeroed without accumulate, untouched with.
     std::vector<float> c(6, 5.0f);
-    backend.gemm_nn(a.data(), b.data(), c.data(), 2, 0, 3, /*accumulate=*/false);
+    device.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), 2, 0, 3, /*accumulate=*/false);
     for (const float x : c) EXPECT_EQ(x, 0.0f) << name;
     std::fill(c.begin(), c.end(), 5.0f);
-    backend.gemm_tn(a.data(), b.data(), c.data(), 2, 0, 3, /*accumulate=*/true);
+    device.gemm(GemmOp::kTN, a.data(), b.data(), c.data(), 2, 0, 3, /*accumulate=*/true);
     for (const float x : c) EXPECT_EQ(x, 5.0f) << name;
     // m == 0 / n == 0: nothing written, nothing crashes.
-    backend.gemm_nn(a.data(), b.data(), c.data(), 0, 4, 2, false);
-    backend.gemm_nt(a.data(), b.data(), c.data(), 2, 4, 0, false);
+    device.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), 0, 4, 2, false);
+    device.gemm(GemmOp::kNT, a.data(), b.data(), c.data(), 2, 4, 0, false);
   }
-}
-
-TEST(BackendRegistry, NamesResolveAndUnknownThrows) {
-  EXPECT_EQ(math_backend("naive").name(), "naive");
-  EXPECT_EQ(math_backend("blocked").name(), "blocked");
-  EXPECT_EQ(math_backend("sparse").name(), "sparse");
-  EXPECT_TRUE(has_math_backend("blocked"));
-  EXPECT_FALSE(has_math_backend("cublas"));
-  EXPECT_THROW(math_backend("cublas"), CheckError);
-  const std::vector<std::string> names = list_math_backends();
-  EXPECT_EQ(names.size(), 3u);
-  // The process default must be a registered backend (SUBFEDAVG_BACKEND may
-  // legitimately select any of them).
-  EXPECT_TRUE(has_math_backend(default_math_backend().name()));
 }
 
 // --- threading determinism --------------------------------------------------
@@ -170,15 +152,15 @@ TEST(BackendDeterminism, MathThreadsNeverChangeGemmBits) {
   const GemmCase shape{256, 96, 64};
   Rng rng(11);
   for (const char* name : {"blocked", "sparse"}) {
-    const MathBackend& backend = math_backend(name);
+    const Device& device = get_device(name);
     for (int variant = 0; variant < 3; ++variant) {
       const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 0.5);
       const std::vector<float> b =
           random_matrix(rng, variant == 2 ? shape.n * shape.k : shape.k * shape.n, 0.5);
       set_math_threads(1);
-      const std::vector<float> single = run_variant(backend, variant, a, b, shape, false);
+      const std::vector<float> single = run_variant(device, variant, a, b, shape, false);
       set_math_threads(4);
-      const std::vector<float> pooled = run_variant(backend, variant, a, b, shape, false);
+      const std::vector<float> pooled = run_variant(device, variant, a, b, shape, false);
       set_math_threads(0);
       for (std::size_t i = 0; i < single.size(); ++i) {
         ASSERT_EQ(single[i], pooled[i])
@@ -220,7 +202,7 @@ TEST(BackendDeterminism, MathThreadsNeverChangeTrainingBits) {
 
 // --- layer-level equivalence ------------------------------------------------
 
-/// Forward + backward of one conv configuration on every backend; outputs,
+/// Forward + backward of one conv configuration on every device; outputs,
 /// parameter gradients and input gradients must agree with naive.
 void conv_all_backends(std::size_t in_c, std::size_t out_c, std::size_t hw,
                        std::size_t kernel, std::size_t stride, std::size_t pad,
@@ -238,7 +220,7 @@ void conv_all_backends(std::size_t in_c, std::size_t out_c, std::size_t hw,
         if (!mask_rng.bernoulli(weight_density)) conv.weight().value[i] = 0.0f;
       }
     }
-    conv.set_backend(&math_backend(backend));
+    conv.set_device(&get_device(backend));
     Tensor input({3, in_c, hw, hw});
     input.fill_normal(rng, 0.0f, 1.0f);
     Pass pass;
@@ -286,7 +268,7 @@ TEST(BackendLayers, LinearAgreesAcrossBackends) {
         if (!mask_rng.bernoulli(density)) fc.weight().value[i] = 0.0f;
       }
     }
-    fc.set_backend(&math_backend(backend));
+    fc.set_device(&get_device(backend));
     Tensor input({5, 37});
     input.fill_normal(rng, 0.0f, 1.0f);
     Pass pass;

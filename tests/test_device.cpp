@@ -1,8 +1,6 @@
-// Device API: registry/aliases, execution-plan cache (incl. concurrency and
-// mask-epoch invalidation), workspace leases, fused conv→bn→relu epilogues
-// (bit-identical to the unfused chain), the fp16 compute mode (documented
-// looser tolerance vs fp32, bit-determinism intact), and the registered
-// env-knob table (asserted against the README in both directions).
+// Device API: registry, execution-plan cache (incl. concurrency and
+// mask-epoch invalidation), workspace leases, and the registered env-knob
+// table (asserted against the README in both directions).
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -11,7 +9,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,11 +17,8 @@
 #include <vector>
 
 #include "fl/experiment.h"
-#include "nn/batchnorm.h"
-#include "nn/conv2d.h"
 #include "nn/model_zoo.h"
 #include "pruning/unstructured.h"
-#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -32,14 +26,6 @@
 
 namespace subfed {
 namespace {
-
-// The pool must have several workers even on single-core CI runners or the
-// fp16 math_threads determinism test would never actually fan out. Runs
-// before main(), i.e. before anything touches ThreadPool::global().
-const bool kPoolEnvReady = [] {
-  setenv("SUBFEDAVG_THREADS", "4", /*overwrite=*/0);
-  return true;
-}();
 
 std::vector<float> random_vec(Rng& rng, std::size_t n) {
   std::vector<float> out(n);
@@ -51,7 +37,7 @@ std::vector<float> random_vec(Rng& rng, std::size_t n) {
 std::vector<float> naive_nn(const std::vector<float>& a, const std::vector<float>& b,
                             std::size_t m, std::size_t k, std::size_t n) {
   std::vector<float> c(m * n, 0.0f);
-  math_backend("naive").gemm_nn(a.data(), b.data(), c.data(), m, k, n, false);
+  get_device("naive").gemm(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, false);
   return c;
 }
 
@@ -64,34 +50,20 @@ void expect_close(const std::vector<float>& want, const float* got, double rel,
 }
 
 // ---------------------------------------------------------------------------
-// Registry and aliases
+// Registry
 
-TEST(DeviceRegistry, BackendNamesAliasOntoSingletonDevices) {
-  const Device& blocked = get_device("blocked");
-  EXPECT_EQ(blocked.name(), "blocked");
-  EXPECT_EQ(blocked.backend_name(), "blocked");
-  EXPECT_EQ(blocked.compute(), ComputeDType::kFp32);
-  EXPECT_EQ(&blocked, &get_device("blocked", ComputeDType::kFp32));
-  EXPECT_EQ(&blocked, &get_device("blocked", std::string("fp32")));
-
-  const Device& half = get_device("blocked", ComputeDType::kFp16);
-  EXPECT_EQ(half.name(), "blocked+fp16");
-  EXPECT_EQ(half.backend_name(), "blocked");
-  EXPECT_NE(&half, &blocked);
-
-  // The deprecated MathBackend seam lands on the same singletons.
-  EXPECT_EQ(&device_for(math_backend("sparse")), &get_device("sparse"));
-  EXPECT_EQ(&get_device("sparse").kernels(), &math_backend("sparse"));
-
-  EXPECT_TRUE(has_device("naive"));
-  EXPECT_FALSE(has_device("cublas"));
-
-  const std::vector<std::string> names = list_devices();
-  ASSERT_EQ(names.size(), 6u);
-  for (const char* expected : {"blocked", "blocked+fp16", "naive", "naive+fp16",
-                               "sparse", "sparse+fp16"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
+TEST(DeviceRegistry, NamesResolveToSingletonDevices) {
+  for (const char* name : {"naive", "blocked", "sparse"}) {
+    const Device& device = get_device(name);
+    EXPECT_EQ(device.name(), name);
+    EXPECT_EQ(&device, &get_device(name));
+    EXPECT_TRUE(has_device(name));
   }
+  EXPECT_FALSE(has_device("cublas"));
+  EXPECT_EQ(list_devices(), (std::vector<std::string>{"blocked", "naive", "sparse"}));
+  // The process default must be a registered device (SUBFEDAVG_BACKEND may
+  // legitimately select any of them).
+  EXPECT_EQ(&default_device(), &get_device(default_device().name()));
 }
 
 TEST(DeviceRegistry, UnknownNamesFailListingTheValidOnes) {
@@ -102,12 +74,9 @@ TEST(DeviceRegistry, UnknownNamesFailListingTheValidOnes) {
     EXPECT_NE(std::string(e.what()).find("naive | blocked | sparse"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(parse_compute_dtype("fp8"), CheckError);
-  EXPECT_EQ(parse_compute_dtype("fp16"), ComputeDType::kFp16);
-  EXPECT_STREQ(compute_dtype_name(ComputeDType::kFp16), "fp16");
 }
 
-TEST(DeviceRegistry, SpecValidationListsDeviceAndDtypeVariants) {
+TEST(DeviceRegistry, SpecValidationListsTheDevices) {
   ExperimentSpec bogus;
   bogus.clients = 4;
   bogus.shards_per_client = 2;
@@ -120,16 +89,8 @@ TEST(DeviceRegistry, SpecValidationListsDeviceAndDtypeVariants) {
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     const std::string what = e.what();
-    // The message enumerates the device registry, dtype variants included.
-    EXPECT_NE(what.find("blocked+fp16"), std::string::npos) << what;
-    EXPECT_NE(what.find("sparse"), std::string::npos) << what;
+    EXPECT_NE(what.find("auto | blocked | naive | sparse"), std::string::npos) << what;
   }
-
-  bogus.backend = "auto";
-  bogus.compute = "fp8";
-  EXPECT_THROW(bogus.make_context(data), CheckError);
-  bogus.compute = "fp16";
-  EXPECT_EQ(bogus.make_context(data).compute, "fp16");
 }
 
 // ---------------------------------------------------------------------------
@@ -332,173 +293,6 @@ TEST(Workspace, ForkedChildNeverInheritsAHeldDeviceLock) {
   stop.store(true);
   churn.join();
   EXPECT_EQ(hung, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Fused epilogues
-
-/// A model with nonzero conv biases and moved BN running stats, so the fused
-/// epilogue exercises every term (bias, γ/β/mean/var, relu).
-Model warmed_model(const ModelSpec& spec, std::uint64_t seed) {
-  Rng rng(seed);
-  Model model = spec.build_init(rng);
-  Rng brng = rng.split("bias");
-  for (Parameter* p : model.parameters()) {
-    if (p->name.find(".bias") != std::string::npos) p->value.fill_normal(brng, 0.0f, 0.1f);
-  }
-  Tensor warm({4, spec.in_channels, spec.input_hw, spec.input_hw});
-  warm.fill_normal(brng, 0.0f, 1.0f);
-  model.forward(warm, /*train=*/true);  // move BN running stats off their init
-  return model;
-}
-
-TEST(FusedEpilogue, EvalForwardIsBitIdenticalToTheUnfusedChain) {
-  struct Net {
-    const char* name;
-    ModelSpec spec;
-  };
-  const Net nets[] = {{"cnn5", ModelSpec::cnn5(10)},
-                      {"lenet5", ModelSpec::lenet5(10)},
-                      {"cnn_deep", ModelSpec::cnn_deep(10)}};
-  for (const Net& net : nets) {
-    for (const char* backend : {"naive", "blocked", "sparse"}) {
-      ModelSpec spec = net.spec;
-      spec.backend = backend;
-      Model model = warmed_model(spec, 21);
-      Rng rng(22);
-      Tensor batch({3, spec.in_channels, spec.input_hw, spec.input_hw});
-      batch.fill_normal(rng, 0.0f, 1.0f);
-
-      model.set_fusion(false);
-      const Tensor unfused = model.forward(batch, /*train=*/false);
-      model.set_fusion(true);
-      const Tensor fused = model.forward(batch, /*train=*/false);
-
-      ASSERT_EQ(unfused.shape(), fused.shape());
-      EXPECT_EQ(std::memcmp(unfused.data(), fused.data(), unfused.numel() * sizeof(float)), 0)
-          << net.name << " on " << backend;
-
-      // Pruned weights route the sparse device through CSR + epilogue
-      // post-pass — still bit-identical.
-      if (std::string(backend) == "sparse") {
-        ModelMask mask = ModelMask::ones_like(model, MaskScope::kAllPrunable);
-        mask = derive_magnitude_mask(model, mask, 0.85);
-        mask.apply_to_weights(model);
-        model.set_fusion(false);
-        const Tensor sparse_unfused = model.forward(batch, /*train=*/false);
-        model.set_fusion(true);
-        const Tensor sparse_fused = model.forward(batch, /*train=*/false);
-        EXPECT_EQ(std::memcmp(sparse_unfused.data(), sparse_fused.data(),
-                              sparse_unfused.numel() * sizeof(float)),
-                  0)
-            << net.name << " pruned on sparse";
-      }
-    }
-  }
-}
-
-TEST(FusedEpilogue, BackwardAfterFusedEvalStillFailsLoudly) {
-  Model model = warmed_model(ModelSpec::cnn5(10), 23);
-  model.set_fusion(true);
-  Rng rng(24);
-  Tensor batch({2, 1, 28, 28});
-  batch.fill_normal(rng, 0.0f, 1.0f);
-  const Tensor out = model.forward(batch, /*train=*/false);
-  Tensor grad(out.shape());
-  grad.fill_normal(rng, 0.0f, 1.0f);
-  EXPECT_THROW(model.backward(grad), CheckError);
-}
-
-// ---------------------------------------------------------------------------
-// fp16 compute
-
-/// Documented fp16-vs-fp32 tolerance: half precision carries ~3 decimal
-/// digits, and errors compound through the depth of the net, so the
-/// cross-dtype equivalence bound is 2e-2·(1+|x|) — versus 1e-4·(1+|x|) for
-/// cross-backend fp32 comparisons (tests/test_backend.cpp).
-constexpr double kFp16Tolerance = 2e-2;
-
-TEST(Fp16Compute, ForwardAndBackwardTrackFp32WithinDocumentedTolerance) {
-  struct Net {
-    const char* name;
-    ModelSpec spec;
-  };
-  const Net nets[] = {{"cnn5", ModelSpec::cnn5(10)},
-                      {"lenet5", ModelSpec::lenet5(10)},
-                      {"cnn_deep", ModelSpec::cnn_deep(10)}};
-  for (const Net& net : nets) {
-    ModelSpec fp32_spec = net.spec;
-    fp32_spec.backend = "blocked";
-    ModelSpec fp16_spec = fp32_spec;
-    fp16_spec.compute = "fp16";
-
-    Rng rng32(31), rng16(31);
-    Model m32 = fp32_spec.build_init(rng32);
-    Model m16 = fp16_spec.build_init(rng16);
-
-    Rng rng(32);
-    Tensor batch({4, net.spec.in_channels, net.spec.input_hw, net.spec.input_hw});
-    batch.fill_normal(rng, 0.0f, 1.0f);
-
-    const Tensor out32 = m32.forward(batch, /*train=*/true);
-    const Tensor out16 = m16.forward(batch, /*train=*/true);
-    ASSERT_EQ(out32.shape(), out16.shape());
-    for (std::size_t i = 0; i < out32.numel(); ++i) {
-      ASSERT_NEAR(out32[i], out16[i], kFp16Tolerance * (1.0 + std::fabs(out32[i])))
-          << net.name << " forward at " << i;
-    }
-
-    Tensor grad(out32.shape());
-    grad.fill_normal(rng, 0.0f, 1.0f);
-    m32.backward(grad);
-    m16.backward(grad);
-    const std::vector<Parameter*> p32 = m32.parameters();
-    const std::vector<Parameter*> p16 = m16.parameters();
-    ASSERT_EQ(p32.size(), p16.size());
-    for (std::size_t pi = 0; pi < p32.size(); ++pi) {
-      // Backward is compared per tensor in relative L2, not elementwise:
-      // train-mode BN centers pre-activations near zero, so half-precision
-      // perturbations flip individual ReLU gates — single entries can move a
-      // lot while the gradient as a whole tracks fp32. Observed errors top
-      // out near 0.08 (early-layer BN shift terms); the bound is ~2× that.
-      double num = 0.0, den = 0.0;
-      for (std::size_t i = 0; i < p32[pi]->grad.numel(); ++i) {
-        const double g32 = p32[pi]->grad[i];
-        const double g16 = p16[pi]->grad[i];
-        ASSERT_TRUE(std::isfinite(g16)) << net.name << " grad " << p32[pi]->name;
-        num += (g32 - g16) * (g32 - g16);
-        den += g32 * g32;
-      }
-      EXPECT_LE(std::sqrt(num), 1.5e-1 * (1.0 + std::sqrt(den)))
-          << net.name << " grad " << p32[pi]->name << " relative L2";
-    }
-  }
-}
-
-TEST(Fp16Compute, BitDeterministicAcrossMathThreads) {
-  const Device& dev = get_device("blocked", ComputeDType::kFp16);
-  // Big enough to clear kMinParallelFlops, so the thread cap really changes
-  // the fan-out the plan picks.
-  const std::size_t m = 128, k = 128, n = 128;
-  Rng rng(33);
-  const std::vector<float> a = random_vec(rng, m * k);
-  const std::vector<float> b = random_vec(rng, k * n);
-
-  std::vector<float> c1(m * n), c4(m * n);
-  const std::size_t prev_threads = math_threads();
-  set_math_threads(1);
-  dev.gemm(GemmOp::kNN, a.data(), b.data(), c1.data(), m, k, n, false);
-  set_math_threads(4);
-  dev.gemm(GemmOp::kNN, a.data(), b.data(), c4.data(), m, k, n, false);
-  set_math_threads(prev_threads);
-  EXPECT_EQ(std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)), 0);
-
-  // And fp16 staging preserves exact zeros, so pruned weights keep their
-  // sparsity class under reduced precision.
-  std::vector<float> w(m * k, 0.0f);
-  std::vector<float> out(m * n, -1.0f);
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), out.data(), m, k, n, false);
-  for (float x : out) ASSERT_EQ(x, 0.0f);
 }
 
 // ---------------------------------------------------------------------------

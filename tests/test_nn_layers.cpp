@@ -15,6 +15,7 @@
 #include "nn/model_zoo.h"
 #include "nn/pooling.h"
 #include "pruning/structured.h"
+#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -338,6 +339,62 @@ TEST(Model, ZeroGradClearsAll) {
 }
 
 // ---------------------------------------------------------------------------
+// Eval forwards keep no backward state: after a train forward, an eval
+// forward drops what the train forward cached, so backward fails loudly
+// instead of silently reusing it, and the eval output is the train path's.
+
+TEST(EvalForward, BackwardAfterEvalThrowsOnEveryLayer) {
+  Rng rng(61);
+  auto conv = std::make_unique<Conv2d>("c", 2, 3, 3);
+  conv->init(rng);
+  auto fc = std::make_unique<Linear>("f", 5, 4);
+  fc->init(rng);
+  std::vector<std::pair<LayerPtr, Shape>> cases;
+  cases.emplace_back(std::move(conv), Shape({2, 2, 6, 6}));
+  cases.emplace_back(std::move(fc), Shape({2, 5}));
+  cases.emplace_back(std::make_unique<BatchNorm2d>("bn", 2), Shape({2, 2, 4, 4}));
+  cases.emplace_back(std::make_unique<ReLU>(), Shape({2, 2, 4, 4}));
+  cases.emplace_back(std::make_unique<MaxPool2d>(2), Shape({2, 2, 4, 4}));
+  for (auto& [layer, shape] : cases) {
+    Tensor x(shape);
+    x.fill_normal(rng, 0.0f, 1.0f);
+    const Tensor train = layer->forward(x, /*train=*/true);
+    const Tensor eval = layer->forward(x, /*train=*/false);
+    ASSERT_EQ(train.shape(), eval.shape()) << layer->kind();
+    if (layer->kind() != "BatchNorm2d") {  // eval BN uses running statistics
+      EXPECT_EQ(std::memcmp(train.data(), eval.data(), train.numel() * sizeof(float)), 0)
+          << layer->kind();
+    }
+    EXPECT_THROW(layer->backward(Tensor(train.shape(), 1.0f)), CheckError) << layer->kind();
+  }
+
+  Model model = ModelSpec::cnn5(10).build_init(rng);
+  Tensor batch({2, 1, 28, 28});
+  batch.fill_normal(rng, 0.0f, 1.0f);
+  model.forward(batch, /*train=*/true);
+  const Tensor logits = model.forward(batch, /*train=*/false);
+  EXPECT_THROW(model.backward(Tensor(logits.shape(), 1.0f)), CheckError);
+}
+
+TEST(EvalForward, ConvReturnsItsPatchPanelToTheDevicePool) {
+  const Device& dev = get_device("naive");
+  Rng rng(62);
+  Conv2d conv("c", 3, 2, 5);
+  conv.set_device(&dev);
+  conv.init(rng);
+  Tensor x({4, 3, 64, 64});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  // The im2col panel: C·K·K rows by N·outH·outW columns, a size class of its
+  // own (the layer's other scratch is two rows wide).
+  const std::size_t panel = 3 * 5 * 5 * 4 * 60 * 60;
+  conv.forward(x, /*train=*/true);   // holds its panel for backward
+  conv.forward(x, /*train=*/false);  // hands it back, and its own
+  const DeviceStats before = dev.stats();
+  const WorkspaceLease lease = dev.lease(panel);
+  EXPECT_EQ(dev.stats().workspace_reuses, before.workspace_reuses + 1);
+}
+
+// ---------------------------------------------------------------------------
 // Live-channel execution: Conv2d computes only channels that can contribute,
 // bit-identical both to the full-width computation and to a physically
 // narrowed layer holding just the live channels.
@@ -349,11 +406,10 @@ bool same_bits(const float* a, const float* b, std::size_t n) {
 /// The full-width conv every Conv2d call must reproduce bit for bit: im2col
 /// over every channel and GEMMs at full M/K on the layer's device.
 struct FullWidthConv {
-  Tensor out, fused, dw, db, dx;
+  Tensor out, dw, db, dx;
 };
 
-FullWidthConv full_width(Conv2d& conv, const Tensor& x, const Tensor& dy,
-                         const GemmEpilogue& ep) {
+FullWidthConv full_width(Conv2d& conv, const Tensor& x, const Tensor& dy) {
   const Device& dev = conv.device();
   const ConvGeometry g{conv.in_channels(), x.shape()[2], x.shape()[3],
                        conv.kernel(),      conv.stride(), conv.pad()};
@@ -366,22 +422,17 @@ FullWidthConv full_width(Conv2d& conv, const Tensor& x, const Tensor& dy,
     dev.im2col(x.data() + n * in_plane, g, columns.data(), cols, n * spatial);
   }
   FullWidthConv r;
-  for (const bool fuse : {false, true}) {
-    GemmEpilogue fused_ep = ep;
-    fused_ep.bias = conv.bias().value.data();
-    dev.gemm(GemmOp::kNN, w, columns.data(), packed.data(), oc, patch, cols, false,
-             WeightSide::kA, 0, 0, fuse ? &fused_ep : nullptr);
-    Tensor out({batch, oc, g.out_h(), g.out_w()});
-    for (std::size_t n = 0; n < batch; ++n) {
-      for (std::size_t o = 0; o < oc; ++o) {
-        const float b = fuse ? 0.0f : conv.bias().value[o];
-        for (std::size_t s = 0; s < spatial; ++s) {
-          const float v = packed[o * cols + n * spatial + s];
-          out.data()[(n * oc + o) * spatial + s] = b == 0.0f ? v : v + b;
-        }
+  dev.gemm(GemmOp::kNN, w, columns.data(), packed.data(), oc, patch, cols, false,
+           WeightSide::kA, 0, 0);
+  r.out = Tensor({batch, oc, g.out_h(), g.out_w()});
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t o = 0; o < oc; ++o) {
+      const float b = conv.bias().value[o];
+      for (std::size_t s = 0; s < spatial; ++s) {
+        const float v = packed[o * cols + n * spatial + s];
+        r.out.data()[(n * oc + o) * spatial + s] = b == 0.0f ? v : v + b;
       }
     }
-    (fuse ? r.fused : r.out) = std::move(out);
   }
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t o = 0; o < oc; ++o) {
@@ -462,21 +513,6 @@ void check_live_channels(const LiveCase& lc, const std::string& backend,
       std::fill_n(dy.data() + (n * kOut + o) * kHw * kHw, kHw * kHw, 0.0f);
     }
   }
-  std::vector<float> mean(kOut), var(kOut), gamma(kOut), beta(kOut);
-  for (std::size_t o = 0; o < kOut; ++o) {
-    mean[o] = static_cast<float>(rng.normal());
-    var[o] = 0.5f + static_cast<float>(rng.uniform());
-    gamma[o] = static_cast<float>(rng.normal());
-    beta[o] = static_cast<float>(rng.normal());
-  }
-  GemmEpilogue ep;
-  ep.mean = mean.data();
-  ep.var = var.data();
-  ep.gamma = gamma.data();
-  ep.beta = beta.data();
-  ep.eps = 1e-5f;
-  ep.relu = true;
-
   // The narrowed layer holds only the live channels.
   std::vector<std::size_t> live_out, live_in;
   for (std::size_t o = 0; o < kOut; ++o) {
@@ -487,7 +523,6 @@ void check_live_channels(const LiveCase& lc, const std::string& backend,
   }
   Conv2d narrow("narrow", live_in.size(), live_out.size(), kK, 1, 1);
   narrow.set_device(&get_device(backend));
-  std::vector<float> n_mean, n_var, n_gamma, n_beta;
   for (std::size_t j = 0; j < live_out.size(); ++j) {
     const std::size_t o = live_out[j];
     narrow.bias().value[j] = conv.bias().value[o];
@@ -495,16 +530,7 @@ void check_live_channels(const LiveCase& lc, const std::string& backend,
       std::memcpy(narrow.weight().value.data() + (j * live_in.size() + i) * kK * kK,
                   w + (o * kIn + live_in[i]) * kK * kK, kK * kK * sizeof(float));
     }
-    n_mean.push_back(mean[o]);
-    n_var.push_back(var[o]);
-    n_gamma.push_back(gamma[o]);
-    n_beta.push_back(beta[o]);
   }
-  GemmEpilogue n_ep = ep;
-  n_ep.mean = n_mean.data();
-  n_ep.var = n_var.data();
-  n_ep.gamma = n_gamma.data();
-  n_ep.beta = n_beta.data();
   const Tensor nx = gather_planes(x, live_in);
   Tensor ndy({kBatch, live_out.size(), kHw, kHw});
   for (std::size_t n = 0; n < kBatch; ++n) {
@@ -517,17 +543,17 @@ void check_live_channels(const LiveCase& lc, const std::string& backend,
 
   const std::size_t prev_threads = math_threads();
   set_math_threads(threads);
-  const FullWidthConv want = full_width(conv, x, dy, ep);
-  const Tensor fused = conv.forward_fused(x, ep);
+  const FullWidthConv want = full_width(conv, x, dy);
+  const Tensor eval = conv.forward(x, /*train=*/false);
   const Tensor out = conv.forward(x, /*train=*/true);
   const Tensor dx = conv.backward(dy);
-  const Tensor n_fused = narrow.forward_fused(nx, n_ep);
+  const Tensor n_eval = narrow.forward(nx, /*train=*/false);
   const Tensor n_out = narrow.forward(nx, /*train=*/true);
   const Tensor n_dx = narrow.backward(ndy);
   set_math_threads(prev_threads);
 
   EXPECT_TRUE(same_bits(want.out.data(), out.data(), out.numel())) << label << ": forward";
-  EXPECT_TRUE(same_bits(want.fused.data(), fused.data(), fused.numel())) << label << ": fused";
+  EXPECT_TRUE(same_bits(want.out.data(), eval.data(), eval.numel())) << label << ": eval";
   EXPECT_TRUE(same_bits(want.dw.data(), conv.weight().grad.data(), want.dw.numel()))
       << label << ": dW";
   EXPECT_TRUE(same_bits(want.db.data(), conv.bias().grad.data(), kOut)) << label << ": db";
@@ -541,8 +567,8 @@ void check_live_channels(const LiveCase& lc, const std::string& backend,
       const std::size_t n_at = (n * live_out.size() + j) * spatial;
       EXPECT_TRUE(same_bits(out.data() + at, n_out.data() + n_at, spatial))
           << label << ": forward row " << live_out[j];
-      EXPECT_TRUE(same_bits(fused.data() + at, n_fused.data() + n_at, spatial))
-          << label << ": fused row " << live_out[j];
+      EXPECT_TRUE(same_bits(eval.data() + at, n_eval.data() + n_at, spatial))
+          << label << ": eval row " << live_out[j];
     }
     for (std::size_t i = 0; i < live_in.size(); ++i) {
       EXPECT_TRUE(same_bits(dx.data() + (n * kIn + live_in[i]) * spatial,

@@ -81,8 +81,9 @@ int main(int argc, char** argv) {
         row.push_back("-");
         continue;
       }
-      const double jac = ModelMask::jaccard_overlap(alg.client(a).weight_mask(),
-                                                    alg.client(b).weight_mask());
+      // client() references last only until the next client() call.
+      const ModelMask mask_a = alg.client(a).weight_mask();
+      const double jac = ModelMask::jaccard_overlap(mask_a, alg.client(b).weight_mask());
       const bool partner = labels_overlap(data.client(a).labels_present,
                                           data.client(b).labels_present);
       row.push_back(format_float(jac, 3) + (partner ? "*" : " "));
@@ -98,8 +99,8 @@ int main(int argc, char** argv) {
   std::size_t partner_n = 0, disjoint_n = 0;
   for (std::size_t a = 0; a < data.num_clients(); ++a) {
     for (std::size_t b = a + 1; b < data.num_clients(); ++b) {
-      const double jac = ModelMask::jaccard_overlap(alg.client(a).weight_mask(),
-                                                    alg.client(b).weight_mask());
+      const ModelMask mask_a = alg.client(a).weight_mask();
+      const double jac = ModelMask::jaccard_overlap(mask_a, alg.client(b).weight_mask());
       if (labels_overlap(data.client(a).labels_present, data.client(b).labels_present)) {
         partner_sum += jac;
         ++partner_n;

@@ -86,6 +86,7 @@ class Reader {
     return s;
   }
 
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }
 
  private:
@@ -183,6 +184,8 @@ Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
   envelope.client = reader.u32();
   envelope.num_examples = reader.u64();
   const std::uint32_t sections = reader.u32();
+  // Each section carries at least its 4-byte length.
+  SUBFEDAVG_CHECK(sections <= reader.remaining() / 4, "truncated message");
   envelope.sections.reserve(sections);
   for (std::uint32_t s = 0; s < sections; ++s) {
     const std::uint32_t size = reader.u32();
@@ -254,8 +257,10 @@ StateDict decode_payload_impl(std::span<const std::uint8_t> bytes, ModelMask* ma
     const std::uint32_t name_len = reader.u32();
     std::string name = reader.str(name_len);
     const std::uint32_t rank = reader.u32();
+    SUBFEDAVG_CHECK(rank <= reader.remaining() / 4, "truncated message");
     std::vector<std::size_t> dims(rank);
     for (auto& d : dims) d = reader.u32();
+    check_wire_shape(dims, reader.remaining());
     Tensor tensor{Shape(dims)};
 
     const bool masked = reader.u8() != 0;

@@ -9,8 +9,8 @@
 //   delta    — uplink values sent relative to the broadcast the client
 //              received this round (codec=delta); near-zero residuals are
 //              what make the quantizers bite
-//   quantize — fp16 / int8 kept-value precision (comm/quantize.h's scalar
-//              codecs, applied mask-aware)
+//   quantize — fp16 / int8 kept-value precision, applied mask-aware (fp16
+//              through comm/quantize.h's scalar conversion)
 //
 // Transports (comm/transport.h) decide where the client half runs:
 //

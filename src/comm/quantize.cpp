@@ -1,9 +1,6 @@
 #include "comm/quantize.h"
 
-#include <cmath>
 #include <cstring>
-
-#include "util/check.h"
 
 namespace subfed {
 
@@ -61,144 +58,6 @@ float fp16_to_fp32(std::uint16_t half) noexcept {
   float value;
   std::memcpy(&value, &bits, 4);
   return value;
-}
-
-namespace {
-
-constexpr std::uint32_t kMagic = 0x53465154;  // "SFQT"
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  put_u32(out, bits);
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated quantized update");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
-  }
-
-  std::uint16_t u16() {
-    SUBFEDAVG_CHECK(pos_ + 2 <= bytes_.size(), "truncated quantized update");
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        bytes_[pos_] | (static_cast<std::uint16_t>(bytes_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated quantized update");
-    return bytes_[pos_++];
-  }
-
-  std::string str(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated quantized update");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::vector<std::uint8_t> quantize_state(const StateDict& state, QuantKind kind) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kMagic);
-  out.push_back(kind == QuantKind::kFp16 ? 0 : 1);
-  put_u32(out, static_cast<std::uint32_t>(state.size()));
-
-  for (const auto& [name, tensor] : state) {
-    put_u32(out, static_cast<std::uint32_t>(name.size()));
-    out.insert(out.end(), name.begin(), name.end());
-    put_u32(out, static_cast<std::uint32_t>(tensor.shape().rank()));
-    for (const std::size_t d : tensor.shape().dims()) {
-      put_u32(out, static_cast<std::uint32_t>(d));
-    }
-
-    if (kind == QuantKind::kFp16) {
-      for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        const std::uint16_t h = fp32_to_fp16(tensor[i]);
-        out.push_back(static_cast<std::uint8_t>(h & 0xFF));
-        out.push_back(static_cast<std::uint8_t>(h >> 8));
-      }
-    } else {
-      const float scale = tensor.abs_max() / 127.0f;
-      put_f32(out, scale);
-      for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        const float q = scale > 0.0f ? std::round(tensor[i] / scale) : 0.0f;
-        out.push_back(static_cast<std::uint8_t>(static_cast<std::int8_t>(
-            std::max(-127.0f, std::min(127.0f, q)))));
-      }
-    }
-  }
-  return out;
-}
-
-StateDict dequantize_state(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
-  SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad quantized-update magic");
-  const QuantKind kind = reader.u8() == 0 ? QuantKind::kFp16 : QuantKind::kInt8;
-  const std::uint32_t entries = reader.u32();
-
-  StateDict state;
-  for (std::uint32_t e = 0; e < entries; ++e) {
-    const std::uint32_t name_len = reader.u32();
-    std::string name = reader.str(name_len);
-    const std::uint32_t rank = reader.u32();
-    std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
-    Tensor tensor{Shape(dims)};
-
-    if (kind == QuantKind::kFp16) {
-      for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        tensor[i] = fp16_to_fp32(reader.u16());
-      }
-    } else {
-      const float scale = reader.f32();
-      for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        tensor[i] = scale * static_cast<float>(static_cast<std::int8_t>(reader.u8()));
-      }
-    }
-    state.add(std::move(name), std::move(tensor));
-  }
-  SUBFEDAVG_CHECK(reader.done(), "trailing bytes in quantized update");
-  return state;
-}
-
-std::size_t quantized_payload_bytes(const StateDict& state, QuantKind kind) {
-  std::size_t bytes = 0;
-  for (const auto& [name, tensor] : state) {
-    if (kind == QuantKind::kFp16) {
-      bytes += tensor.numel() * 2;
-    } else {
-      bytes += tensor.numel() + 4;  // int8 values + per-tensor scale
-    }
-  }
-  return bytes;
 }
 
 }  // namespace subfed

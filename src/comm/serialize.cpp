@@ -51,6 +51,7 @@ class Reader {
     return s;
   }
 
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }
 
  private:
@@ -109,8 +110,10 @@ StateDict decode_update(std::span<const std::uint8_t> bytes, ModelMask* mask_out
     const std::uint32_t name_len = reader.u32();
     std::string name = reader.str(name_len);
     const std::uint32_t rank = reader.u32();
+    SUBFEDAVG_CHECK(rank <= reader.remaining() / 4, "truncated update");
     std::vector<std::size_t> dims(rank);
     for (auto& d : dims) d = reader.u32();
+    check_wire_shape(dims, reader.remaining());
     Tensor tensor{Shape(dims)};
 
     const bool masked = reader.u8() != 0;
@@ -147,6 +150,17 @@ std::size_t encoded_header_bytes(const StateDict& state) {
     bytes += 1;                                     // coverage flag
   }
   return bytes;
+}
+
+void check_wire_shape(std::span<const std::size_t> dims, std::size_t available) {
+  const std::size_t limit = 8 * available;
+  std::size_t numel = 1;
+  for (const std::size_t d : dims) {
+    SUBFEDAVG_CHECK(d == 0 || numel <= limit / d,
+                    "tensor shape claims more elements than the " << available
+                                                                  << " bytes left");
+    numel *= d;
+  }
 }
 
 std::size_t payload_bytes(const StateDict& state, const ModelMask* mask) {

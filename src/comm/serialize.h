@@ -38,4 +38,10 @@ std::size_t payload_bytes(const StateDict& state, const ModelMask* mask);
 ///     payload_bytes(s, m) + encoded_header_bytes(s).
 std::size_t encoded_header_bytes(const StateDict& state);
 
+/// Throws CheckError unless a tensor of `dims` fits `available` bytes at one
+/// bit per element, the least any wire encoding spends on an element. Decoders
+/// check each claimed shape with it before allocating, so a corrupt count can
+/// never allocate more than the input bounds. Overflow-safe.
+void check_wire_shape(std::span<const std::size_t> dims, std::size_t available);
+
 }  // namespace subfed

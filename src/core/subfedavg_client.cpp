@@ -9,15 +9,7 @@ namespace subfed {
 
 SubFedAvgClient::SubFedAvgClient(std::size_t id, const ModelSpec& spec,
                                  SubFedAvgConfig config, ClientDataPtr data, Rng rng)
-    : id_(id),
-      spec_(spec),
-      config_(std::move(config)),
-      data_(std::move(data)),
-      rng_(rng),
-      model_(spec.build()) {
-  SUBFEDAVG_CHECK(data_ != nullptr, "client needs data");
-  if (config_.hybrid) model_.set_bn_l1(config_.bn_l1);
-
+    : SubFedAvgClient(id, spec, std::move(config), std::move(data), rng, {}, {}, {}) {
   weight_mask_ = ModelMask::ones_like(
       model_, config_.hybrid ? MaskScope::kFcOnly : MaskScope::kAllPrunable);
   channel_mask_ = ChannelMask::ones_like(model_);
@@ -29,17 +21,23 @@ SubFedAvgClient::SubFedAvgClient(std::size_t id, const ModelSpec& spec,
 
 void SubFedAvgClient::seed_personal(const StateDict& state) { personal_state_ = state; }
 
-void SubFedAvgClient::restore(StateDict personal, ModelMask weight_mask,
-                              ChannelMask channel_mask) {
-  // Validate against the architecture before committing anything.
-  model_.load_state(personal);
-  SUBFEDAVG_CHECK(channel_mask.num_blocks() == model_.topology().conv_blocks.size(),
-                  "checkpoint channel mask does not match architecture");
-  personal_state_ = std::move(personal);
-  weight_mask_ = std::move(weight_mask);
-  channel_mask_ = std::move(channel_mask);
-  pruned_us_ = weight_mask_.pruned_fraction();
-  pruned_s_ = channel_mask_.pruned_fraction();
+SubFedAvgClient::SubFedAvgClient(std::size_t id, const ModelSpec& spec,
+                                 SubFedAvgConfig config, ClientDataPtr data, Rng rng,
+                                 StateDict personal, ModelMask weight_mask,
+                                 ChannelMask channel_mask)
+    : id_(id),
+      spec_(spec),
+      config_(std::move(config)),
+      data_(std::move(data)),
+      rng_(rng),
+      model_(spec.build()),
+      personal_state_(std::move(personal)),
+      weight_mask_(std::move(weight_mask)),
+      channel_mask_(std::move(channel_mask)),
+      pruned_us_(weight_mask_.pruned_fraction()),
+      pruned_s_(channel_mask_.pruned_fraction()) {
+  SUBFEDAVG_CHECK(data_ != nullptr, "client needs data");
+  if (config_.hybrid) model_.set_bn_l1(config_.bn_l1);
 }
 
 ModelMask SubFedAvgClient::combined_mask() {

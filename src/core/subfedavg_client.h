@@ -60,12 +60,16 @@ class SubFedAvgClient {
       : SubFedAvgClient(id, spec, std::move(config), ClientDataPtr(ClientDataPtr{}, data),
                         rng) {}
 
+  /// Rebuilds a client from its stored state. The personal state and masks
+  /// must match `spec` (fl/subfedavg.cpp checks them on input); the pruned
+  /// fractions are recomputed from the masks.
+  SubFedAvgClient(std::size_t id, const ModelSpec& spec, SubFedAvgConfig config,
+                  ClientDataPtr data, Rng rng, StateDict personal, ModelMask weight_mask,
+                  ChannelMask channel_mask);
+
   /// Sets the client's personal model (used before round 0 so never-sampled
   /// clients evaluate the initial global model rather than a blank template).
   void seed_personal(const StateDict& state);
-
-  /// Restores full pruning/personalization state (checkpoint resume).
-  void restore(StateDict personal, ModelMask weight_mask, ChannelMask channel_mask);
 
   /// Executes one local round starting from the global state; returns the
   /// upload (masked state + mask) and fills `report`.

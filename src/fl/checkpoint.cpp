@@ -45,6 +45,7 @@ class Reader {
     return out;
   }
 
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }
 
  private:
@@ -107,6 +108,8 @@ std::vector<StateDict> decode_state_sections(std::span<const std::uint8_t> bytes
                                            << name << "', loading into '" << expect_name
                                            << "'");
   const std::uint32_t count = reader.u32();
+  // Each section carries at least its 4-byte length.
+  SUBFEDAVG_CHECK(count <= reader.remaining() / 4, "truncated checkpoint");
   std::vector<StateDict> sections;
   sections.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -1,5 +1,8 @@
 #include "fl/client_state.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <string>
 #include <utility>
 
@@ -24,6 +27,7 @@ void ClientStateStore::init(std::size_t num_clients, StateSections initial,
   lru_.clear();
   lru_it_.clear();
   spilled_.clear();
+  spill_end_ = 0;
 }
 
 bool ClientStateStore::touched(std::size_t k) const {
@@ -38,13 +42,15 @@ std::string ClientStateStore::record_name(std::size_t k) {
 
 StateSectionsPtr ClientStateStore::load_spilled_locked(std::size_t k) const {
   const auto it = spilled_.find(k);
-  SUBFEDAVG_CHECK(it != spilled_.end(), "client " << k << " not in spill index");
+  SUBFEDAVG_CHECK(it != spilled_.end() && it->second.size > 0,
+                  "client " << k << " not in spill index");
   SUBFEDAVG_CHECK(spill_file_ != nullptr, "spill file missing");
   std::vector<std::uint8_t> bytes(it->second.size);
-  SUBFEDAVG_CHECK(std::fseek(spill_file_, it->second.offset, SEEK_SET) == 0,
-                  "spill seek failed");
-  const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), spill_file_);
-  SUBFEDAVG_CHECK(read == bytes.size(), "short spill read for client " << k);
+  // Positional I/O: forked transport workers share this file's offset.
+  const ssize_t read =
+      ::pread(::fileno(spill_file_), bytes.data(), bytes.size(), it->second.offset);
+  SUBFEDAVG_CHECK(read == static_cast<ssize_t>(bytes.size()),
+                  "short spill read for client " << k);
   ++refaults_;
   static telemetry::Counter& refaults = telemetry::counter("state.refaults");
   refaults.add();
@@ -78,12 +84,17 @@ void ClientStateStore::evict_overflow_locked() {
     }
     const std::vector<std::uint8_t> bytes =
         encode_state_sections(record_name(victim), *it->second);
-    SUBFEDAVG_CHECK(std::fseek(spill_file_, 0, SEEK_END) == 0, "spill seek failed");
-    const long offset = std::ftell(spill_file_);
-    SUBFEDAVG_CHECK(offset >= 0, "spill tell failed");
-    const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), spill_file_);
-    SUBFEDAVG_CHECK(written == bytes.size(), "short spill write");
-    spilled_[victim] = {offset, bytes.size()};
+    // Overwrite the victim's previous extent when the record fits there.
+    SpillExtent& extent = spilled_[victim];
+    if (extent.capacity < bytes.size()) {
+      extent.offset = spill_end_;
+      extent.capacity = bytes.size();
+      spill_end_ += static_cast<long>(bytes.size());
+    }
+    const ssize_t written =
+        ::pwrite(::fileno(spill_file_), bytes.data(), bytes.size(), extent.offset);
+    SUBFEDAVG_CHECK(written == static_cast<ssize_t>(bytes.size()), "short spill write");
+    extent.size = bytes.size();
     hot_.erase(it);
     ++spills_;
     static telemetry::Counter& spills = telemetry::counter("state.spills");
@@ -103,7 +114,7 @@ StateSectionsPtr ClientStateStore::read(std::size_t k) {
     return it->second;
   }
   StateSectionsPtr sections = load_spilled_locked(k);
-  spilled_.erase(k);
+  spilled_[k].size = 0;  // the hot entry is current; the extent stays for reuse
   hot_[k] = sections;
   promote_locked(k);
   evict_overflow_locked();
@@ -123,7 +134,8 @@ void ClientStateStore::put(std::size_t k, StateSections sections) {
   SUBFEDAVG_CHECK(k < num_clients_, "client " << k << " out of " << num_clients_);
   std::lock_guard<std::mutex> lock(mutex_);
   touched_[k] = true;
-  spilled_.erase(k);  // a newer value supersedes any spilled record
+  // A newer value supersedes any spilled record; its extent stays for reuse.
+  if (const auto it = spilled_.find(k); it != spilled_.end()) it->second.size = 0;
   hot_[k] = std::make_shared<const StateSections>(std::move(sections));
   promote_locked(k);
   evict_overflow_locked();
@@ -135,7 +147,15 @@ void ClientStateStore::reset() {
   hot_.clear();
   lru_.clear();
   lru_it_.clear();
-  spilled_.clear();
+  for (auto& [k, extent] : spilled_) extent.size = 0;
+}
+
+std::uint64_t ClientStateStore::spill_file_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (spill_file_ == nullptr) return 0;
+  struct stat info {};
+  SUBFEDAVG_CHECK(::fstat(::fileno(spill_file_), &info) == 0, "spill stat failed");
+  return static_cast<std::uint64_t>(info.st_size);
 }
 
 }  // namespace subfed

@@ -12,6 +12,9 @@
 //    spilled to an anonymous temp file as an SFCG record (the same versioned
 //    container full checkpoints use — fl/checkpoint.h), and reloaded exactly
 //    on the next access ("refault");
+//  * each client keeps its file extent once reloaded or superseded, and its
+//    next spill overwrites it when the record fits, so the file is bounded by
+//    the population, not by the run length;
 //  * hot_capacity == 0 keeps every touched client resident — the historical
 //    behavior, with identical values.
 //
@@ -70,6 +73,8 @@ class ClientStateStore {
 
   std::uint64_t spills() const noexcept { return spills_; }
   std::uint64_t refaults() const noexcept { return refaults_; }
+  /// Current size of the spill file (0 before the first spill).
+  std::uint64_t spill_file_bytes() const;
 
  private:
   /// Record name inside the SFCG container, validated on refault.
@@ -88,12 +93,16 @@ class ClientStateStore {
   std::list<std::size_t> lru_;  ///< front = most recently used
   std::unordered_map<std::size_t, std::list<std::size_t>::iterator> lru_it_;
 
-  struct SpillRecord {
+  /// A client's region of the spill file. `size` is its current record's
+  /// length, 0 when the record was reloaded or superseded.
+  struct SpillExtent {
     long offset = 0;
+    std::size_t capacity = 0;
     std::size_t size = 0;
   };
-  mutable std::FILE* spill_file_ = nullptr;  ///< std::tmpfile(); unlinked on close
-  std::unordered_map<std::size_t, SpillRecord> spilled_;
+  std::FILE* spill_file_ = nullptr;  ///< std::tmpfile(); unlinked on close
+  std::unordered_map<std::size_t, SpillExtent> spilled_;
+  long spill_end_ = 0;
   mutable std::uint64_t spills_ = 0;
   mutable std::uint64_t refaults_ = 0;
 };

@@ -1,8 +1,10 @@
 #include "fl/subfedavg.h"
 
+#include <iterator>
 #include <string>
 #include <utility>
 
+#include "core/eval.h"
 #include "fl/robust.h"
 #include "util/check.h"
 
@@ -28,48 +30,55 @@ StateDict channel_state(const ChannelMask& mask) {
   return state;
 }
 
-/// Installs a 3-section mirror {personal, weight mask, channel mask} into a
-/// live client (the inverse of SubFedAvg::sections_of). Consumes `sections`.
-void restore_into(SubFedAvgClient& client, std::span<StateDict> sections) {
-  SUBFEDAVG_CHECK(sections.size() == 3, "client " << client.id()
-                                                  << " state expects 3 sections, got "
-                                                  << sections.size());
-  StateDict personal = std::move(sections[0]);
-  ModelMask weight_mask;
-  for (auto& [name, tensor] : sections[1]) weight_mask.set(name, std::move(tensor));
-  // Start from the client's current mask to get the architecture's block
-  // sizes, then overwrite the keep bits from the section.
-  ChannelMask channel_mask = client.channel_mask();
-  const StateDict& channels = sections[2];
-  SUBFEDAVG_CHECK(channels.size() == channel_mask.num_blocks(), "channel mask block count");
-  for (std::size_t b = 0; b < channel_mask.num_blocks(); ++b) {
-    const Tensor* keep = channels.find("block" + std::to_string(b));
-    SUBFEDAVG_CHECK(keep != nullptr && keep->numel() == channel_mask.block(b).size(),
-                    "channel mask block size");
-    for (std::size_t c = 0; c < channel_mask.block(b).size(); ++c) {
-      channel_mask.block(b)[c] = (*keep)[c] != 0.0f ? 1 : 0;
-    }
+/// {personal model, weight mask, channel mask} of a client.
+StateSections sections_of(const SubFedAvgClient& client) {
+  StateSections sections;
+  sections.reserve(3);
+  sections.push_back(client.personal_state());
+  sections.push_back(mask_state(client.weight_mask()));
+  sections.push_back(channel_state(client.channel_mask()));
+  return sections;
+}
+
+ModelMask weight_mask_of(StateDict section) {
+  ModelMask mask;
+  for (auto& [name, tensor] : section) mask.set(name, std::move(tensor));
+  return mask;
+}
+
+/// Throws CheckError unless `section` has `like`'s entry names and shapes.
+void check_section(const StateDict& section, const StateDict& like, const char* what) {
+  SUBFEDAVG_CHECK(section.size() == like.size(), what << " has " << section.size()
+                                                      << " entries, expected " << like.size());
+  for (std::size_t e = 0; e < like.size(); ++e) {
+    SUBFEDAVG_CHECK(section[e].first == like[e].first &&
+                        section[e].second.shape() == like[e].second.shape(),
+                    what << " entry " << e << " '" << section[e].first
+                         << "' does not match the architecture");
   }
-  client.restore(std::move(personal), std::move(weight_mask), std::move(channel_mask));
+}
+
+double mean(const std::vector<double>& values) {
+  double sum = 0.0;
+  for (const double v : values) sum += v;
+  return values.empty() ? 0.0 : sum / static_cast<double>(values.size());
 }
 
 }  // namespace
 
 SubFedAvg::SubFedAvg(FlContext ctx, SubFedAvgConfig config)
-    : FederatedAlgorithm(std::move(ctx)), config_(config) {
+    : FederatedAlgorithm(std::move(ctx)), config_(config), arch_(ctx_.spec.build()) {
   config_.train = ctx_.train;
   config_.sgd = ctx_.sgd;
   global_ = initial_state();
 
-  // A never-sampled client's mirror is the seeded initial global plus
+  // A never-sampled client's sections are the seeded initial global plus
   // all-ones masks — shared once here instead of materialized per client, so
   // construction is O(1) in the population.
-  Model model = ctx_.spec.build();
   const ModelMask weight_ones = ModelMask::ones_like(
-      model, config_.hybrid ? MaskScope::kFcOnly : MaskScope::kAllPrunable);
-  const ChannelMask channel_ones = ChannelMask::ones_like(model);
+      arch_, config_.hybrid ? MaskScope::kFcOnly : MaskScope::kAllPrunable);
   store_.init(num_clients(),
-              {global_, mask_state(weight_ones), channel_state(channel_ones)},
+              {global_, mask_state(weight_ones), channel_state(ChannelMask::ones_like(arch_))},
               ctx_.client_cache);
   frac_us_.assign(num_clients(), 0.0);
   frac_s_.assign(num_clients(), 0.0);
@@ -79,91 +88,60 @@ std::string SubFedAvg::name() const {
   return config_.hybrid ? "Sub-FedAvg (Hy)" : "Sub-FedAvg (Un)";
 }
 
-std::shared_ptr<SubFedAvgClient> SubFedAvg::acquire(std::size_t k) {
-  SUBFEDAVG_CHECK(k < num_clients(), "client " << k);
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = live_.find(k);
-    if (it != live_.end()) {
-      lru_.splice(lru_.begin(), lru_, lru_it_[k]);
-      return it->second;
-    }
-  }
-
-  // Build outside the lock: model construction and (possibly lazy) data
-  // materialization dominate, and parallel evaluation touches distinct k.
-  Rng client_rng = Rng(ctx_.seed).split("subfed-client", k);
-  auto built = std::make_shared<SubFedAvgClient>(k, ctx_.spec, config_,
-                                                 ctx_.data->client_ptr(k), client_rng);
-  bool refaulted = false;
-  if (store_.touched(k)) {
-    // Evicted earlier: reinstall the exact spilled mirror (restore recomputes
-    // the pruned fractions from the masks, so nothing else is needed).
-    StateSections sections = *store_.peek(k);
-    restore_into(*built, sections);
-    refaulted = true;
-  } else {
-    // First touch ever: seed with the initial global, as the eager
-    // constructor did before round 0.
-    built->seed_personal(initial_state());
-  }
-
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto [it, inserted] = live_.try_emplace(k, built);
-  if (!inserted) {
-    // Another thread materialized k while we built; both copies are
-    // bit-identical (state is deterministic between rounds) — keep theirs.
-    lru_.splice(lru_.begin(), lru_, lru_it_[k]);
-    return it->second;
-  }
-  lru_.push_front(k);
-  lru_it_[k] = lru_.begin();
-  if (refaulted) ++refaults_;
-  evict_overflow_locked(k);
-  return built;
+void SubFedAvg::check_layout(std::span<const StateDict> sections) const {
+  const StateSections& like = store_.initial_sections();
+  SUBFEDAVG_CHECK(sections.size() == like.size(), name() << " client state expects "
+                                                         << like.size() << " sections, got "
+                                                         << sections.size());
+  check_section(sections[0], like[0], "personal model");
+  check_section(sections[1], like[1], "weight mask");
+  check_section(sections[2], like[2], "channel mask");
 }
 
-void SubFedAvg::evict_overflow_locked(std::size_t keep) {
-  const std::size_t cap = ctx_.client_cache;
-  if (cap == 0) return;
-  auto it = lru_.end();
-  while (live_.size() > cap && it != lru_.begin()) {
-    --it;
-    const std::size_t victim = *it;
-    const auto live_it = live_.find(victim);
-    SUBFEDAVG_CHECK(live_it != live_.end(), "LRU entry without live client");
-    // use_count > 1 means a round, an evaluation or the pin still holds the
-    // object — skip it; it becomes evictable once released.
-    if (victim == keep || live_it->second.use_count() > 1) continue;
-    frac_us_[victim] = live_it->second->unstructured_pruned();
-    frac_s_[victim] = live_it->second->structured_pruned();
-    store_.put(victim, sections_of(*live_it->second));
-    live_.erase(live_it);
-    lru_it_.erase(victim);
-    it = lru_.erase(it);
+ChannelMask SubFedAvg::channel_mask_of(const StateDict& section) const {
+  ChannelMask mask = ChannelMask::ones_like(arch_);
+  for (std::size_t b = 0; b < mask.num_blocks(); ++b) {
+    const Tensor& keep = section[b].second;
+    for (std::size_t c = 0; c < mask.block(b).size(); ++c) {
+      mask.block(b)[c] = keep[c] != 0.0f ? 1 : 0;
+    }
   }
+  return mask;
+}
+
+ModelMask SubFedAvg::upload_mask(const StateSections& sections) {
+  ModelMask weights = weight_mask_of(sections[1]);
+  if (!config_.hybrid) return weights;
+  return channel_mask_of(sections[2]).to_model_mask(arch_).intersected(weights);
+}
+
+SubFedAvgClient SubFedAvg::make_client(std::size_t k, StateSections sections) const {
+  return SubFedAvgClient(k, ctx_.spec, config_, ctx_.data->client_ptr(k),
+                         Rng(ctx_.seed).split("subfed-client", k), std::move(sections[0]),
+                         weight_mask_of(std::move(sections[1])), channel_mask_of(sections[2]));
+}
+
+void SubFedAvg::put_client(std::size_t k, StateSections sections) {
+  const double pruned_us = weight_mask_of(sections[1]).pruned_fraction();
+  const double pruned_s = channel_mask_of(sections[2]).pruned_fraction();
+  store_.put(k, std::move(sections));
+  frac_us_[k] = pruned_us;
+  frac_s_[k] = pruned_s;
 }
 
 SubFedAvgClient& SubFedAvg::client(std::size_t k) {
-  std::shared_ptr<SubFedAvgClient> c = acquire(k);
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  pinned_ = std::move(c);
+  pinned_.emplace(make_client(k, *store_.peek(k)));
   return *pinned_;
 }
 
 void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sampled) {
-  // Pin the round's cohort so eviction cannot recycle an object mid-round
-  // (loopback run_client re-acquires the same live objects).
-  std::vector<std::shared_ptr<SubFedAvgClient>> cohort(sampled.size());
-
   // Download: each client needs only the entries its pre-round mask keeps
   // (the client re-applies θ_g ⊙ m_k on arrival, so the masked broadcast is
   // exactly what it would have computed from the full global).
   std::vector<ModelMask> pre_masks(sampled.size());
   std::vector<ClientJob> jobs(sampled.size());
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    cohort[i] = acquire(sampled[i]);
-    pre_masks[i] = cohort[i]->combined_mask();
+    pre_masks[i] = upload_mask(*store_.read(sampled[i]));
     jobs[i] = {sampled[i], &global_, &pre_masks[i], 1, {}};
   }
 
@@ -173,9 +151,10 @@ void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sample
   updates.reserve(exchanges.size());
   for (Exchange& exchange : exchanges) {
     // A detached round mutated a worker-process copy of the client; its
-    // side-band sections bring this process's mirror up to date.
+    // side-band sections bring this process's copy up to date.
     if (!exchange.state.empty()) {
-      restore_client_sections(exchange.client, exchange.state);
+      check_layout(exchange.state);
+      put_client(exchange.client, std::move(exchange.state));
     }
     updates.push_back(std::move(exchange.update));
   }
@@ -201,82 +180,43 @@ void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sample
 
 ClientResult SubFedAvg::run_client(std::size_t round, const ClientJob& job,
                                    const StateDict& received, bool detached) {
-  const std::shared_ptr<SubFedAvgClient> client = acquire(job.client);
-  if (!job.state.empty()) {
-    // Remote exchange: install the coordinator's client mirror — personal
-    // model, weight mask, channel mask — before computing. The round RNG is
-    // split deterministically from (seed, client, round), so the mirror plus
-    // these sections is the client's complete state.
-    std::vector<StateDict> inbound(job.state);
-    restore_into(*client, inbound);
-  }
+  // Remote exchange: the coordinator's client mirror — personal model, weight
+  // mask, channel mask — arrives as side-band. The round RNG is split
+  // deterministically from (seed, client, round), so the mirror is the
+  // client's complete state.
+  if (!job.state.empty()) check_layout(job.state);
+  SubFedAvgClient client = make_client(
+      job.client, job.state.empty() ? *store_.read(job.client) : job.state);
   ClientResult result;
-  result.update = client->run_round(received, round);
-  if (detached) result.state = sections_of(*client);
+  result.update = client.run_round(received, round);
+  StateSections sections = sections_of(client);
+  if (detached) result.state = sections;
+  put_client(job.client, std::move(sections));
   return result;
 }
 
 std::vector<StateDict> SubFedAvg::client_state_sections(std::size_t k) {
-  return client_sections(k);
-}
-
-double SubFedAvg::client_test_accuracy(std::size_t k) {
-  return acquire(k)->evaluate_test().accuracy;
-}
-
-double SubFedAvg::average_unstructured_pruned() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  double sum = 0.0;
-  for (std::size_t k = 0; k < frac_us_.size(); ++k) {
-    const auto it = live_.find(k);
-    sum += it != live_.end() ? it->second->unstructured_pruned() : frac_us_[k];
-  }
-  return frac_us_.empty() ? 0.0 : sum / static_cast<double>(frac_us_.size());
-}
-
-double SubFedAvg::average_structured_pruned() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  double sum = 0.0;
-  for (std::size_t k = 0; k < frac_s_.size(); ++k) {
-    const auto it = live_.find(k);
-    sum += it != live_.end() ? it->second->structured_pruned() : frac_s_[k];
-  }
-  return frac_s_.empty() ? 0.0 : sum / static_cast<double>(frac_s_.size());
-}
-
-ReductionReport SubFedAvg::client_reduction(std::size_t k) {
-  const std::shared_ptr<SubFedAvgClient> c = acquire(k);
-  Model model = ctx_.spec.build();
-  model.load_state(c->personal_state());
-  const ChannelMask* channel = config_.hybrid ? &c->channel_mask() : nullptr;
-  const ModelMask& weights = c->weight_mask();
-  return reduction_report(model, channel, &weights);
-}
-
-
-std::vector<StateDict> SubFedAvg::sections_of(const SubFedAvgClient& client) {
-  std::vector<StateDict> sections;
-  sections.reserve(3);
-  sections.push_back(client.personal_state());
-  sections.push_back(mask_state(client.weight_mask()));
-  sections.push_back(channel_state(client.channel_mask()));
-  return sections;
-}
-
-std::vector<StateDict> SubFedAvg::client_sections(std::size_t k) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = live_.find(k);
-    if (it != live_.end()) return sections_of(*it->second);
-  }
-  // Evicted (exact spilled mirror) or never touched (shared initial
-  // sections) — either way the store answers without materializing k.
   return *store_.peek(k);
 }
 
-void SubFedAvg::restore_client_sections(std::size_t k, std::span<StateDict> sections) {
-  const std::shared_ptr<SubFedAvgClient> client = acquire(k);
-  restore_into(*client, sections);
+double SubFedAvg::client_test_accuracy(std::size_t k) {
+  const ClientDataPtr data = ctx_.data->client_ptr(k);
+  Model model = ctx_.spec.build();
+  model.load_state((*store_.peek(k))[0]);
+  return evaluate_client_test(model, *data).accuracy;
+}
+
+double SubFedAvg::average_unstructured_pruned() const { return mean(frac_us_); }
+
+double SubFedAvg::average_structured_pruned() const { return mean(frac_s_); }
+
+ReductionReport SubFedAvg::client_reduction(std::size_t k) {
+  const StateSectionsPtr sections = store_.peek(k);
+  Model model = ctx_.spec.build();
+  model.load_state((*sections)[0]);
+  const ChannelMask channel = channel_mask_of((*sections)[2]);
+  const ModelMask weights = weight_mask_of((*sections)[1]);
+  return reduction_report(model, config_.hybrid ? &channel : nullptr, &weights);
 }
 
 std::vector<StateDict> SubFedAvg::checkpoint_state() {
@@ -284,8 +224,8 @@ std::vector<StateDict> SubFedAvg::checkpoint_state() {
   sections.reserve(1 + 3 * num_clients());
   sections.push_back(global_);
   for (std::size_t k = 0; k < num_clients(); ++k) {
-    std::vector<StateDict> client = client_sections(k);
-    for (StateDict& section : client) sections.push_back(std::move(section));
+    const StateSectionsPtr client = store_.peek(k);
+    sections.insert(sections.end(), client->begin(), client->end());
   }
   return sections;
 }
@@ -294,9 +234,15 @@ void SubFedAvg::restore_checkpoint_state(std::vector<StateDict> sections) {
   SUBFEDAVG_CHECK(sections.size() == 1 + 3 * num_clients(),
                   name() << " checkpoint expects " << 1 + 3 * num_clients()
                          << " sections, got " << sections.size());
-  global_ = std::move(sections[0]);
+  check_section(sections[0], initial_state(), "global model");
   for (std::size_t k = 0; k < num_clients(); ++k) {
-    restore_client_sections(k, {sections.data() + 1 + 3 * k, 3});
+    check_layout({sections.data() + 1 + 3 * k, 3});
+  }
+  global_ = std::move(sections[0]);
+  store_.reset();
+  for (std::size_t k = 0; k < num_clients(); ++k) {
+    const auto first = std::make_move_iterator(sections.begin() + 1 + 3 * k);
+    put_client(k, StateSections(first, first + 3));
   }
 }
 

@@ -5,20 +5,18 @@
 // over retained entries (core/aggregate.h) and keeps its previous value for
 // entries no sampled client retained.
 //
-// Client residency is lazy: a SubFedAvgClient object (model buffers, data
-// pin, masks) exists only while its client is hot. With ctx.client_cache > 0
-// the live set is LRU-bounded; evicted clients spill their 3-section mirror
-// {personal model, weight mask, channel mask} into a ClientStateStore and are
-// reconstructed bit-exactly on the next touch (SubFedAvgClient::restore
-// recomputes the pruned fractions from the masks, and the per-client RNG is
-// re-derived from (seed, k), so nothing is lost). At the default cache of 0
-// every touched client stays live — the historical behavior.
+// Between calls a client exists only as its three sections in a
+// ClientStateStore: {personal model, weight mask, channel mask}. A round
+// reads them, builds a transient SubFedAvgClient, runs Algorithm 1 or 2 and
+// writes them back; evaluation builds a model and loads the personal section
+// without writing anything; the pre-round download mask comes straight from
+// the stored masks. The per-client RNG is re-derived from (seed, k), so the
+// sections are the client's whole state. ctx.client_cache bounds the store's
+// resident clients and spills the rest bit-exactly (fl/client_state.h); at 0
+// every touched client's sections stay resident.
 #pragma once
 
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <optional>
 
 #include "core/subfedavg_client.h"
 #include "fl/algorithm.h"
@@ -51,14 +49,13 @@ class SubFedAvg final : public FederatedAlgorithm {
 
   const StateDict& global_state() const noexcept { return global_; }
   StateDict global_model() override { return global_; }
-  /// Materializes client k if needed. The reference stays valid until the
-  /// NEXT client() call (a one-slot pin protects it from LRU eviction);
-  /// callers iterating clients must not hold references across calls.
+  /// Client k rebuilt from its stored sections. The reference stays valid
+  /// until the NEXT client() call, which replaces it; callers iterating
+  /// clients must not hold references across calls.
   SubFedAvgClient& client(std::size_t k);
 
-  /// Mean committed pruned fractions across clients (live clients answer
-  /// directly, evicted ones from the fraction snapshot taken at eviction —
-  /// no client needs materializing).
+  /// Mean committed pruned fractions across clients, from the fractions
+  /// recorded whenever a client's sections are written.
   double average_unstructured_pruned() const;
   double average_structured_pruned() const;
 
@@ -75,46 +72,36 @@ class SubFedAvg final : public FederatedAlgorithm {
   std::size_t corrupted_updates() const noexcept { return channel_->corrupted_updates(); }
   std::size_t filtered_updates() const noexcept { return filtered_updates_; }
 
-  /// Clients reconstructed from the spill store (lazy-mode observability).
-  std::size_t client_refaults() const noexcept { return refaults_; }
+  /// Client sections reloaded from the store's spill file (lazy-mode
+  /// observability).
+  std::size_t client_refaults() const noexcept { return store_.refaults(); }
 
  private:
-  /// Returns the live client for k, constructing (and restoring from the
-  /// store when previously evicted) on demand; bounds the live set.
-  std::shared_ptr<SubFedAvgClient> acquire(std::size_t k);
-  /// LRU-evicts live clients past the cap into the store. Caller holds
-  /// cache_mutex_. Never evicts `keep` or a client another thread still uses.
-  void evict_overflow_locked(std::size_t keep);
-
-  /// {personal model, weight mask, channel mask} of client k — the same
-  /// 3-section layout checkpoint_state uses per client, reused as the
-  /// side-band mirror a detached (subprocess) round ships back.
-  std::vector<StateDict> client_sections(std::size_t k);
-  /// Same encoding from a live object (also the eviction spill path).
-  static std::vector<StateDict> sections_of(const SubFedAvgClient& client);
-  void restore_client_sections(std::size_t k, std::span<StateDict> sections);
+  /// Throws CheckError unless `sections` match the initial sections' layout:
+  /// three sections with the same entry names and shapes (for the channel
+  /// mask: block count and block sizes). Guards every outside input.
+  void check_layout(std::span<const StateDict> sections) const;
+  ChannelMask channel_mask_of(const StateDict& section) const;
+  /// Channel mask ⊗ weight mask of stored sections: the client's upload mask.
+  ModelMask upload_mask(const StateSections& sections);
+  SubFedAvgClient make_client(std::size_t k, StateSections sections) const;
+  /// Stores client k's sections and records their committed pruned fractions.
+  void put_client(std::size_t k, StateSections sections);
 
   SubFedAvgConfig config_;
   StateDict global_;
   bool strict_ = false;
   std::size_t filtered_updates_ = 0;
 
-  /// Live client objects (model buffers pinned), LRU-bounded when
-  /// ctx_.client_cache > 0; front of lru_ is most recent.
-  mutable std::mutex cache_mutex_;
-  std::unordered_map<std::size_t, std::shared_ptr<SubFedAvgClient>> live_;
-  std::list<std::size_t> lru_;
-  std::unordered_map<std::size_t, std::list<std::size_t>::iterator> lru_it_;
-  /// Keeps the most recent client() return alive across eviction.
-  std::shared_ptr<SubFedAvgClient> pinned_;
-  /// Section mirrors of evicted clients; untouched clients resolve to the
-  /// shared initial sections {θ_0, ones, ones}.
+  /// The architecture, for expanding channel masks; never trained.
+  Model arch_;
+  /// Every client's sections; untouched clients resolve to the shared
+  /// initial sections {θ_0, ones, ones}.
   ClientStateStore store_;
-  std::size_t refaults_ = 0;
-
-  /// Committed pruned fractions of EVICTED clients, snapshotted as they
-  /// spill (live clients are read directly) — keeps average_*_pruned() O(N)
-  /// doubles instead of forcing every client resident.
+  /// The most recent client() return.
+  std::optional<SubFedAvgClient> pinned_;
+  /// Committed pruned fractions per client, so average_*_pruned() reads
+  /// O(N) doubles instead of every client's masks.
   std::vector<double> frac_us_;
   std::vector<double> frac_s_;
 };

@@ -1,5 +1,9 @@
 #include "tensor/tensor.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cmath>
 #include <sstream>
 
@@ -7,6 +11,27 @@
 #include "util/rng.h"
 
 namespace subfed {
+
+namespace {
+
+#if defined(__GLIBC__)
+// Tensor storage comes from malloc, and every training step and evaluation
+// frees and re-allocates buffers of a few hundred KiB to a few MiB
+// (activations, per-call models, state sections). glibc adapts its mmap and
+// trim thresholds to the largest mmapped block freed so far, so whether
+// those frees hand pages back to the kernel, to be faulted in again on the
+// next step, depends on the heap layout, which thread timing makes differ
+// from one process to the next. Fixing both thresholds at the ceiling the
+// adaptive rule climbs to keeps such buffers in the heap, so a step costs
+// the same in every run.
+const bool kHeapThresholdsFixed = [] {
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+  return true;
+}();
+#endif
+
+}  // namespace
 
 std::size_t Shape::operator[](std::size_t i) const {
   SUBFEDAVG_CHECK(i < dims_.size(), "dim " << i << " out of rank " << dims_.size());

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "comm/channel.h"
@@ -69,6 +70,13 @@ TEST(Envelope, RejectsGarbage) {
   std::vector<std::uint8_t> truncated = encode_envelope(envelope);
   truncated.resize(truncated.size() - 2);
   EXPECT_THROW(decode_envelope(truncated), CheckError);
+
+  // A 28-byte header claiming 2^32-1 sections is rejected before the section
+  // list is reserved, not with std::bad_alloc.
+  std::vector<std::uint8_t> claiming = encode_envelope(Envelope{});
+  ASSERT_EQ(claiming.size(), 28u);
+  std::fill(claiming.end() - 4, claiming.end(), 0xFF);
+  EXPECT_THROW(decode_envelope(claiming), CheckError);
 }
 
 // ---------------------------------------------------------------------------

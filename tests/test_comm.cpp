@@ -151,6 +151,27 @@ TEST(Serialize, RejectsCorruptBuffers) {
   std::vector<std::uint8_t> padded = encode_update(state, nullptr);
   padded.push_back(0);
   EXPECT_THROW(decode_update(padded), CheckError);
+
+  // Claimed counts are checked against the bytes left before anything is
+  // sized from them: rank 2^32-1 in 17 bytes and a 2^38-float tensor used to
+  // throw std::bad_alloc, a 2^28-float tensor in 21 bytes allocated 1 GiB
+  // before failing, and dims whose product wraps to 0 decoded as an empty
+  // tensor with a huge shape.
+  auto claiming = [](std::uint32_t rank, std::vector<std::uint32_t> dims) {
+    std::vector<std::uint8_t> bytes{0x56, 0x41, 0x46, 0x53,  // "SFAV"
+                                    1, 0, 0, 0,              // one entry
+                                    0, 0, 0, 0};             // empty name
+    dims.insert(dims.begin(), rank);
+    for (const std::uint32_t v : dims) {
+      for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    bytes.push_back(0);  // unmasked
+    return bytes;
+  };
+  EXPECT_THROW(decode_update(claiming(0xFFFFFFFFu, {})), CheckError);
+  EXPECT_THROW(decode_update(claiming(3, {65536, 65536, 64})), CheckError);
+  EXPECT_THROW(decode_update(claiming(1, {1u << 28})), CheckError);
+  EXPECT_THROW(decode_update(claiming(4, {65536, 65536, 65536, 65536})), CheckError);
 }
 
 TEST(Ledger, AccumulatesPerRoundAndTotals) {

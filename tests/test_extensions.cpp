@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <set>
 
+#include "comm/channel.h"
 #include "comm/quantize.h"
 #include "data/client_data.h"
 #include "fl/checkpoint.h"
@@ -262,6 +263,31 @@ TEST_F(CheckpointTest, RejectsWrongFederationSize) {
   std::remove(path.c_str());
 }
 
+TEST_F(CheckpointTest, RejectsClientSectionsThatDoNotMatchTheArchitecture) {
+  SubFedAvg alg(ctx(), config());
+  const std::vector<StateDict> good = alg.checkpoint_state();
+  const StateDict global = alg.global_state();
+  // Client 2's personal model, weight mask and channel mask, one at a time,
+  // with every entry reshaped: refused from a checkpoint and from a remote
+  // exchange's side-band mirror alike.
+  for (std::size_t s = 1 + 3 * 2; s < 1 + 3 * 3; ++s) {
+    StateDict reshaped;
+    for (const auto& [name, tensor] : good[s]) {
+      reshaped.add(name, Tensor(Shape{tensor.numel() + 1}));
+    }
+    std::vector<StateDict> bad = good;
+    bad[s] = reshaped;
+    EXPECT_THROW(alg.restore_checkpoint_state(bad), CheckError) << "section " << s;
+
+    ClientJob job{2, &global, nullptr, 1, {bad.begin() + 7, bad.begin() + 10}};
+    EXPECT_THROW(alg.run_client(0, job, global, /*detached=*/true), CheckError)
+        << "section " << s;
+  }
+  // Nothing was stored: the federation still checkpoints as before.
+  EXPECT_EQ(encode_state_sections(alg.name(), alg.checkpoint_state()),
+            encode_state_sections(alg.name(), good));
+}
+
 TEST_F(CheckpointTest, RejectsMissingAndCorruptFiles) {
   SubFedAvg alg(ctx(), config());
   EXPECT_THROW(load_checkpoint(alg, "/nonexistent/ckpt.bin"), CheckError);
@@ -269,6 +295,23 @@ TEST_F(CheckpointTest, RejectsMissingAndCorruptFiles) {
   const std::string path = ::testing::TempDir() + "/subfed_corrupt.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("garbage", f);
+  std::fclose(f);
+  EXPECT_THROW(load_checkpoint(alg, path), CheckError);
+
+  // SFCG containers claiming 2^32-1 sections (17 bytes with an empty name):
+  // rejected before the section vector is sized, not std::bad_alloc.
+  auto claiming_sections = [](const std::string& name) {
+    std::vector<std::uint8_t> bytes{0x47, 0x43, 0x46, 0x53,  // "SFCG"
+                                    1, 0, 0, 0,              // version
+                                    static_cast<std::uint8_t>(name.size()), 0, 0, 0};
+    for (const char c : name) bytes.push_back(static_cast<std::uint8_t>(c));
+    bytes.insert(bytes.end(), {0xFF, 0xFF, 0xFF, 0xFF, 0});
+    return bytes;
+  };
+  EXPECT_THROW(decode_state_sections(claiming_sections(""), ""), CheckError);
+  const std::vector<std::uint8_t> huge = claiming_sections(alg.name());
+  f = std::fopen(path.c_str(), "wb");
+  std::fwrite(huge.data(), 1, huge.size(), f);
   std::fclose(f);
   EXPECT_THROW(load_checkpoint(alg, path), CheckError);
   std::remove(path.c_str());
@@ -296,56 +339,27 @@ TEST(Fp16, RelativeErrorBounded) {
   }
 }
 
-TEST(Quantize, Fp16StateRoundTrip) {
-  Rng rng(6);
-  Model m = ModelSpec::cnn5(10).build_init(rng);
-  const StateDict state = m.state();
-  const StateDict back = dequantize_state(quantize_state(state, QuantKind::kFp16));
-  ASSERT_EQ(back.size(), state.size());
-  double worst = 0.0;
-  for (std::size_t e = 0; e < state.size(); ++e) {
-    EXPECT_EQ(back[e].first, state[e].first);
-    for (std::size_t i = 0; i < state[e].second.numel(); ++i) {
-      worst = std::max(worst, static_cast<double>(std::fabs(back[e].second[i] -
-                                                            state[e].second[i])));
-    }
-  }
-  EXPECT_LT(worst, 1e-2);
-}
-
-TEST(Quantize, Int8ErrorBoundedByScale) {
-  Rng rng(7);
-  Model m = ModelSpec::cnn5(10).build_init(rng);
-  const StateDict state = m.state();
-  const StateDict back = dequantize_state(quantize_state(state, QuantKind::kInt8));
-  for (std::size_t e = 0; e < state.size(); ++e) {
-    const float bound = state[e].second.abs_max() / 127.0f * 0.51f + 1e-7f;
-    for (std::size_t i = 0; i < state[e].second.numel(); ++i) {
-      EXPECT_NEAR(back[e].second[i], state[e].second[i], bound) << state[e].first;
-    }
-  }
-}
-
-TEST(Quantize, PayloadAccounting) {
-  Rng rng(8);
-  Model m = ModelSpec::cnn5(10).build_init(rng);
-  const StateDict state = m.state();
-  const std::size_t n = state.numel();
-  EXPECT_EQ(quantized_payload_bytes(state, QuantKind::kFp16), n * 2);
-  EXPECT_EQ(quantized_payload_bytes(state, QuantKind::kInt8), n + 4 * state.size());
-  // fp16 halves the dense fp32 payload.
-  EXPECT_EQ(quantized_payload_bytes(state, QuantKind::kFp16) * 2, n * 4);
-}
-
 TEST(Quantize, RejectsCorruptBuffers) {
   Rng rng(9);
   Model m = ModelSpec::cnn5(10).build_init(rng);
-  std::vector<std::uint8_t> bytes = quantize_state(m.state(), QuantKind::kFp16);
+  std::vector<std::uint8_t> bytes = encode_payload(m.state(), nullptr, QuantCodec::kFp16);
   bytes[0] ^= 0xFF;
-  EXPECT_THROW(dequantize_state(bytes), CheckError);
-  std::vector<std::uint8_t> truncated = quantize_state(m.state(), QuantKind::kInt8);
+  EXPECT_THROW(decode_payload(bytes), CheckError);
+  std::vector<std::uint8_t> truncated = encode_payload(m.state(), nullptr, QuantCodec::kInt8);
   truncated.resize(truncated.size() - 3);
-  EXPECT_THROW(dequantize_state(truncated), CheckError);
+  EXPECT_THROW(decode_payload(truncated), CheckError);
+
+  // An int8 payload whose one 0-byte-named entry claims a 65536 x 65536 x 64
+  // tensor in 30 bytes: rejected before any allocation, not std::bad_alloc.
+  const std::vector<std::uint8_t> huge{
+      0x50, 0x51, 0x46, 0x53,  // "SFQP"
+      2,                       // int8
+      1, 0, 0, 0,              // one entry
+      0, 0, 0, 0,              // empty name
+      3, 0, 0, 0,              // rank 3
+      0, 0, 1, 0, 0, 0, 1, 0, 64, 0, 0, 0,
+      0};                      // unmasked
+  EXPECT_THROW(decode_payload(huge), CheckError);
 }
 
 // ---------------- Dropout fault injection --------------------------------------

@@ -138,8 +138,9 @@ TEST_F(Integration, PartnersShareSubnetworks) {
       for (const auto l : la) {
         for (const auto m : lb) shares |= (l == m);
       }
-      const double jac = ModelMask::jaccard_overlap(alg.client(a).weight_mask(),
-                                                    alg.client(b).weight_mask());
+      // client() references last only until the next client() call.
+      const ModelMask mask_a = alg.client(a).weight_mask();
+      const double jac = ModelMask::jaccard_overlap(mask_a, alg.client(b).weight_mask());
       if (shares) {
         overlap_similar += jac;
         ++n_similar;

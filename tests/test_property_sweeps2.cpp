@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "comm/quantize.h"
+#include "comm/channel.h"
 #include "core/aggregate.h"
 #include "fl/driver.h"
 #include "fl/standalone.h"
@@ -28,7 +28,7 @@ TEST_P(QuantScaleSweep, Int8ErrorProportionalToRange) {
   t.fill_normal(rng, 0.0f, static_cast<float>(scale));
   state.add("w", t);
 
-  const StateDict back = dequantize_state(quantize_state(state, QuantKind::kInt8));
+  const StateDict back = decode_payload(encode_payload(state, nullptr, QuantCodec::kInt8));
   const float bound = t.abs_max() / 127.0f * 0.51f + 1e-7f;
   double max_err = 0.0;
   for (std::size_t i = 0; i < t.numel(); ++i) {
@@ -47,7 +47,7 @@ TEST_P(QuantScaleSweep, Fp16RelativeErrorScaleFree) {
   t.fill_normal(rng, 0.0f, static_cast<float>(scale));
   state.add("w", t);
 
-  const StateDict back = dequantize_state(quantize_state(state, QuantKind::kFp16));
+  const StateDict back = decode_payload(encode_payload(state, nullptr, QuantCodec::kFp16));
   for (std::size_t i = 0; i < t.numel(); ++i) {
     const float v = t[i];
     // Half precision: ~2^-11 relative error, plus a subnormal floor.

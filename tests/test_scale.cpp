@@ -19,6 +19,7 @@
 
 #include "data/client_data.h"
 #include "fl/checkpoint.h"
+#include "fl/client_state.h"
 #include "fl/experiment.h"
 #include "fl/registry.h"
 #include "fl/subfedavg.h"
@@ -112,6 +113,42 @@ TEST(LazyStore, ThrashingCacheSurvivesSaveRestoreBitExactly) {
   auto* sub = dynamic_cast<SubFedAvg*>(&straight->algorithm());
   ASSERT_NE(sub, nullptr);
   EXPECT_GT(sub->client_refaults(), 0u);
+}
+
+TEST(LazyStore, EvaluationNeverWritesClientState) {
+  ExperimentSpec spec = base_spec("subfedavg_un");
+  spec.client_cache = 2;
+  auto session = FederationSession::from_spec(spec);
+  const double first = session->evaluate();
+  EXPECT_EQ(session->evaluate(), first);
+  // Evaluation reads each client's sections without storing them, so no
+  // client was spilled for a later evaluation to reload.
+  auto* sub = dynamic_cast<SubFedAvg*>(&session->algorithm());
+  ASSERT_NE(sub, nullptr);
+  EXPECT_EQ(sub->client_refaults(), 0u);
+}
+
+TEST(LazyStore, SpillFileStaysWithinOneRecordPerClient) {
+  auto sections_of = [](float value) {
+    StateDict state;
+    state.add("w", Tensor(Shape{1000}, value));
+    return StateSections{state};
+  };
+  ClientStateStore store;
+  store.init(3, sections_of(-1.0f), /*hot_capacity=*/1);
+  std::vector<float> last(3, -1.0f);
+  for (int round = 0; round < 50; ++round) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      last[k] = static_cast<float>(3 * round) + static_cast<float>(k);
+      store.put(k, sections_of(last[k]));
+      // Reading the next client refaults it and spills the one just put.
+      const std::size_t next = (k + 1) % 3;
+      EXPECT_EQ((*store.read(next))[0][0].second[0], last[next]) << "round " << round;
+    }
+  }
+  EXPECT_GT(store.spills(), 100u);
+  const std::size_t record = encode_state_sections("client-0", sections_of(0.0f)).size();
+  EXPECT_LE(store.spill_file_bytes(), 3 * record);
 }
 
 // --- data-level equality ------------------------------------------------------

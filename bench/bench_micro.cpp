@@ -1,14 +1,17 @@
 // Engineering micro-benchmarks (google-benchmark): GEMM/conv throughput per
-// device (naive vs blocked vs sparse at several mask densities), mask
-// operations, and the two aggregation rules (the DESIGN.md §4.2
-// counting-vs-strict-intersection ablation at the per-op level).
+// device (naive vs blocked vs sparse at several mask densities), one conv
+// layer's training step at model-zoo shapes, mask operations, and the two
+// aggregation rules (the DESIGN.md §4.2 counting-vs-strict-intersection
+// ablation at the per-op level).
 //
-// The device GEMM matrix is the perf-trajectory record for the kernel layer;
-// CI runs it as
-//   ./bench_micro --benchmark_filter='GemmBackend|ConvForward' \
-//       --benchmark_out=BENCH_gemm.json --benchmark_out_format=json
+// The device GEMM matrix and the conv layer rows are the perf-trajectory
+// record for the kernel layer; CI runs them as
+//   ./bench_micro --benchmark_filter='GemmBackend|ConvForward|ConvLayer'
+//                 --benchmark_out=BENCH_gemm.json --benchmark_out_format=json
 // and uploads BENCH_gemm.json, so regressions show up run over run.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "core/aggregate.h"
 #include "nn/conv2d.h"
@@ -125,6 +128,68 @@ BENCHMARK(BM_ConvForwardBackend)
     ->Args({2, 100})
     ->Args({1, 15})
     ->Args({2, 15});
+
+/// One conv layer as a pruned client trains it: 5×5 kernel, batch 10.
+struct ConvLayerCase {
+  const char* label;
+  std::size_t in_channels, out_channels, hw;
+  std::size_t live_in, live_out;  ///< leading channels structured pruning keeps
+  double density;                 ///< unstructured weight density
+  bool first;                     ///< first layer: no input gradient
+};
+
+const ConvLayerCase kConvLayers[] = {
+    {"lenet5.conv1/hy", 3, 6, 32, 3, 3, 1.0, true},       // 3 of 6 filters live
+    {"lenet5.conv2/hy", 6, 16, 14, 3, 8, 1.0, false},     // half width
+    {"cnn5.conv1/un50", 1, 10, 28, 1, 10, 0.5, true},     // 50% unstructured
+    {"cnn5.conv2/un50", 10, 20, 12, 10, 20, 0.5, false},  // 50% unstructured
+};
+
+/// args: {case index} — a train-mode forward plus backward of one Conv2d on
+/// the blocked device. Pruned channels are zero in the weights, the input
+/// planes and dY, as after a channel mask; live-channel execution skips them.
+void BM_ConvLayerTrain(benchmark::State& state) {
+  const ConvLayerCase& lc = kConvLayers[state.range(0)];
+  constexpr std::size_t kBatch = 10, kKernel = 5, kK2 = kKernel * kKernel;
+  Rng rng(5);
+  Conv2d conv("conv", lc.in_channels, lc.out_channels, kKernel);
+  conv.init(rng);
+  conv.set_device(&get_device("blocked"));
+  conv.set_needs_input_grad(!lc.first);
+  float* w = conv.weight().value.data();
+  for (std::size_t o = 0; o < lc.out_channels; ++o) {
+    for (std::size_t c = 0; c < lc.in_channels; ++c) {
+      for (std::size_t t = 0; t < kK2; ++t) {
+        const bool live = o < lc.live_out && c < lc.live_in && rng.bernoulli(lc.density);
+        if (!live) w[(o * lc.in_channels + c) * kK2 + t] = 0.0f;
+      }
+    }
+  }
+  const std::size_t out_hw = lc.hw - kKernel + 1;
+  Tensor input({kBatch, lc.in_channels, lc.hw, lc.hw});
+  input.fill_normal(rng, 0.0f, 1.0f);
+  Tensor grad({kBatch, lc.out_channels, out_hw, out_hw});
+  grad.fill_normal(rng, 0.0f, 1.0f);
+  for (std::size_t n = 0; n < kBatch; ++n) {
+    for (std::size_t c = lc.live_in; c < lc.in_channels; ++c) {
+      std::fill_n(input.data() + (n * lc.in_channels + c) * lc.hw * lc.hw, lc.hw * lc.hw, 0.0f);
+    }
+    for (std::size_t o = lc.live_out; o < lc.out_channels; ++o) {
+      std::fill_n(grad.data() + (n * lc.out_channels + o) * out_hw * out_hw, out_hw * out_hw,
+                  0.0f);
+    }
+  }
+  for (auto _ : state) {
+    Tensor out = conv.forward(input, /*train=*/true);
+    Tensor grad_input = conv.backward(grad);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(&grad_input);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(lc.label);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_ConvLayerTrain)->DenseRange(0, 3);
 
 void BM_MagnitudeMaskDerivation(benchmark::State& state) {
   Rng rng(3);

@@ -1,5 +1,6 @@
 #include "tensor/gemm.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace subfed {
@@ -74,32 +75,54 @@ void col2im(const float* columns, const ConvGeometry& g, float* image) noexcept 
   col2im_strided(columns, g, image, g.out_h() * g.out_w(), 0);
 }
 
+namespace {
+
+/// Output positions [lo, hi) along one axis whose input index
+/// pos·stride + offset − pad lies inside [0, in): the rest read the zero
+/// halo. Index arithmetic only, so no pointer ever points before a plane.
+struct Interior {
+  std::size_t lo, hi;
+};
+
+Interior interior(std::size_t offset, std::size_t pad, std::size_t stride, std::size_t in,
+                  std::size_t out) noexcept {
+  // pos·stride + offset ≥ pad  ⇔  pos ≥ ⌈(pad − offset) / stride⌉
+  const std::size_t lo = offset >= pad ? 0 : (pad - offset + stride - 1) / stride;
+  // pos·stride + offset − pad < in  ⇔  pos ≤ ⌊(in + pad − offset − 1) / stride⌋
+  const std::size_t reach = in + pad;
+  const std::size_t hi = offset >= reach ? 0 : std::min(out, (reach - offset - 1) / stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
+}  // namespace
+
 void im2col_strided(const float* image, const ConvGeometry& g, float* columns,
                     std::size_t col_stride, std::size_t col_offset) noexcept {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t oh = g.out_h(), ow = g.out_w(), s = g.stride;
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.in_channels; ++c) {
     const float* plane = image + c * g.in_h * g.in_w;
     for (std::size_t ky = 0; ky < g.kernel; ++ky) {
       for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
         float* out = columns + row * col_stride + col_offset;
-        for (std::size_t y = 0; y < oh; ++y) {
-          // Input row for this output row; may fall in the padded halo.
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(y * g.stride + ky) - static_cast<std::ptrdiff_t>(g.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) {
-            std::memset(out + y * ow, 0, ow * sizeof(float));
-            continue;
+        const Interior xs = interior(kx, g.pad, s, g.in_w, ow);
+        Interior ys = interior(ky, g.pad, s, g.in_h, oh);
+        if (xs.lo == xs.hi) ys.hi = ys.lo;  // every column reads the halo
+        // Halo runs are short or empty: fill loops, not memset calls.
+        std::fill_n(out, ys.lo * ow, 0.0f);
+        for (std::size_t y = ys.lo; y < ys.hi; ++y) {
+          // First input element the interior reads: column xs.lo·s + kx − pad.
+          const float* src = plane + (y * s + ky - g.pad) * g.in_w + (xs.lo * s + kx - g.pad);
+          float* dst = out + y * ow;
+          std::fill_n(dst, xs.lo, 0.0f);
+          if (s == 1) {
+            std::memcpy(dst + xs.lo, src, (xs.hi - xs.lo) * sizeof(float));
+          } else {
+            for (std::size_t x = xs.lo; x < xs.hi; ++x) dst[x] = src[(x - xs.lo) * s];
           }
-          const float* src = plane + static_cast<std::size_t>(iy) * g.in_w;
-          for (std::size_t x = 0; x < ow; ++x) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(x * g.stride + kx) -
-                                      static_cast<std::ptrdiff_t>(g.pad);
-            out[y * ow + x] = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w))
-                                  ? 0.0f
-                                  : src[static_cast<std::size_t>(ix)];
-          }
+          std::fill_n(dst + xs.hi, ow - xs.hi, 0.0f);
         }
+        std::fill_n(out + ys.hi * ow, (oh - ys.hi) * ow, 0.0f);
       }
     }
   }
@@ -107,7 +130,7 @@ void im2col_strided(const float* image, const ConvGeometry& g, float* columns,
 
 void col2im_strided(const float* columns, const ConvGeometry& g, float* image,
                     std::size_t col_stride, std::size_t col_offset) noexcept {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t oh = g.out_h(), ow = g.out_w(), s = g.stride;
   std::memset(image, 0, g.in_channels * g.in_h * g.in_w * sizeof(float));
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.in_channels; ++c) {
@@ -115,17 +138,15 @@ void col2im_strided(const float* columns, const ConvGeometry& g, float* image,
     for (std::size_t ky = 0; ky < g.kernel; ++ky) {
       for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
         const float* in = columns + row * col_stride + col_offset;
-        for (std::size_t y = 0; y < oh; ++y) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(y * g.stride + ky) - static_cast<std::ptrdiff_t>(g.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
-          float* dst = plane + static_cast<std::size_t>(iy) * g.in_w;
-          for (std::size_t x = 0; x < ow; ++x) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(x * g.stride + kx) -
-                                      static_cast<std::ptrdiff_t>(g.pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
-            dst[static_cast<std::size_t>(ix)] += in[y * ow + x];
-          }
+        const Interior xs = interior(kx, g.pad, s, g.in_w, ow);
+        const Interior ys = interior(ky, g.pad, s, g.in_h, oh);
+        if (xs.lo == xs.hi) continue;
+        // Same (c, ky, kx, y, x) order as a full sweep that skips the halo,
+        // so every image element sums the same values in the same order.
+        for (std::size_t y = ys.lo; y < ys.hi; ++y) {
+          float* dst = plane + (y * s + ky - g.pad) * g.in_w + (xs.lo * s + kx - g.pad);
+          const float* src = in + y * ow;
+          for (std::size_t x = xs.lo; x < xs.hi; ++x) dst[(x - xs.lo) * s] += src[x];
         }
       }
     }

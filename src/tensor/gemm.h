@@ -1,8 +1,10 @@
-// Small blocked GEMM and im2col/col2im used by Conv2d and Linear.
+// Reference GEMM loops (the naive device) and im2col/col2im used by Conv2d.
 //
-// All matrices are row-major. Sizes in this project are LeNet-scale
-// (K ≤ ~500), so a register-blocked ikj kernel is within ~2-3× of a tuned
-// BLAS and keeps the repo dependency-free.
+// All matrices are row-major. Conv GEMMs are short and long: the filter
+// dimension is small (3–20 live filters in the model zoo), while the pixel
+// dimension N·outH·outW is 7840 for lenet5's first layer at batch 10 (K in
+// dW, N in the forward and dX GEMMs). The blocked kernels in
+// tensor/kernels.h serve these shapes without a BLAS dependency.
 #pragma once
 
 #include <cstddef>

@@ -61,9 +61,10 @@ std::size_t plan_chunks(std::size_t m, std::size_t flops) noexcept {
 // The hot loops must live inside those entry points (marked always-inline),
 // not behind a std::function boundary, so each build vectorizes end to end.
 //
-// Determinism: each output element is accumulated in ascending-k order no
-// matter how panels are split, so any math_threads value produces
-// bit-identical results.
+// Determinism: each output element is one ascending-k chain no matter how
+// panels are split, whether a full or a tail tile computes it (every tile
+// height accumulates identically), or how many k-blocks carry it through C,
+// so any math_threads value produces bit-identical results.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SUBFED_ALWAYS_INLINE inline __attribute__((always_inline))
@@ -106,18 +107,34 @@ SUBFED_ALWAYS_INLINE void store8(float* p, v8sf v) noexcept {
 }
 #endif
 
+/// How a tile's sums meet C: overwrite it, add to it once at the end
+/// (C += A·B), or resume the chains an earlier k-block stored there (the
+/// accumulators start from C's floats and are stored back). A float round
+/// trip through memory is exact, so a chain split into k-blocks sums the same
+/// values in the same order as one unsplit chain.
+enum class TileStore { kOverwrite, kAdd, kResume };
+
 /// One MR×kNr register tile: rows i..i+MR of A against a kNr-wide B panel
 /// (`bpanel`, row stride ldb — either b + j inside the full matrix, or a
 /// packed zero-padded [k×kNr] buffer). Writes back the first `nr` columns to
-/// cpanel (= c + j). Every output element accumulates in ascending-k order.
+/// cpanel (= c + j). Every output element accumulates in ascending-k order,
+/// identically for every tile height MR.
 template <std::size_t MR, bool kTransposedA>
 SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t lda,
                                      const float* bpanel, std::size_t ldb, float* cpanel,
                                      std::size_t ldc, std::size_t k, std::size_t nr,
-                                     bool accumulate) noexcept {
+                                     TileStore store) noexcept {
 #if SUBFED_VECTOR_TILE
   static_assert(kNr == 16, "tile uses two 8-wide vectors per row");
   v8sf acc0[MR] = {}, acc1[MR] = {};
+  if (store == TileStore::kResume) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      float tile[kNr] = {};
+      std::memcpy(tile, cpanel + (i + r) * ldc, nr * sizeof(float));
+      acc0[r] = load8(tile);
+      acc1[r] = load8(tile + 8);
+    }
+  }
   for (std::size_t p = 0; p < k; ++p) {
     const float* brow = bpanel + p * ldb;
     const v8sf b0 = load8(brow), b1 = load8(brow + 8);
@@ -132,7 +149,7 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
   for (std::size_t r = 0; r < MR; ++r) {
     float* crow = cpanel + (i + r) * ldc;
     if (nr == kNr) {
-      if (accumulate) {
+      if (store == TileStore::kAdd) {
         store8(crow, load8(crow) + acc0[r]);
         store8(crow + 8, load8(crow + 8) + acc1[r]);
       } else {
@@ -144,12 +161,17 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
       store8(tile, acc0[r]);
       store8(tile + 8, acc1[r]);
       for (std::size_t jj = 0; jj < nr; ++jj) {
-        crow[jj] = accumulate ? crow[jj] + tile[jj] : tile[jj];
+        crow[jj] = store == TileStore::kAdd ? crow[jj] + tile[jj] : tile[jj];
       }
     }
   }
 #else
   float acc[MR][kNr] = {};
+  if (store == TileStore::kResume) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      std::memcpy(acc[r], cpanel + (i + r) * ldc, nr * sizeof(float));
+    }
+  }
   for (std::size_t p = 0; p < k; ++p) {
     const float* brow = bpanel + p * ldb;
     for (std::size_t r = 0; r < MR; ++r) {
@@ -160,7 +182,7 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
   for (std::size_t r = 0; r < MR; ++r) {
     float* crow = cpanel + (i + r) * ldc;
     for (std::size_t jj = 0; jj < nr; ++jj) {
-      crow[jj] = accumulate ? crow[jj] + acc[r][jj] : acc[r][jj];
+      crow[jj] = store == TileStore::kAdd ? crow[jj] + acc[r][jj] : acc[r][jj];
     }
   }
 #endif
@@ -179,21 +201,26 @@ std::vector<float>& packing_scratch(std::size_t size) {
   return scratch;
 }
 
-/// Rows [i0, i1) of C against one B panel: full kMr tiles plus single-row
-/// tiles for the tail. Which rows take the tail path depends only on i1
-/// (always the matrix edge or a kMr-aligned chunk boundary), and both tile
-/// widths accumulate identically, so threading cannot change results.
+/// Rows [i0, i1) of C against one B panel: full kMr tiles, then the rows
+/// left over (fewer than kMr) as one shorter tile, so B streams once. Which
+/// rows form the tail depends only on i1 (always the matrix edge or a
+/// kMr-aligned chunk boundary), and every tile height accumulates
+/// identically, so threading cannot change results.
 template <bool kTransposedA>
 SUBFED_ALWAYS_INLINE void tile_rows(const float* a, std::size_t lda, const float* bpanel,
                                     std::size_t ldb, float* cpanel, std::size_t ldc,
                                     std::size_t i0, std::size_t i1, std::size_t k,
-                                    std::size_t nr, bool accumulate) noexcept {
+                                    std::size_t nr, TileStore store) noexcept {
+  static_assert(kMr == 4, "tail tiles cover heights 1..3");
   std::size_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    micro_tile<kMr, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, accumulate);
+    micro_tile<kMr, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, store);
   }
-  for (; i < i1; ++i) {
-    micro_tile<1, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, accumulate);
+  switch (i1 - i) {
+    case 3: micro_tile<3, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, store); break;
+    case 2: micro_tile<2, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, store); break;
+    case 1: micro_tile<1, kTransposedA>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr, store); break;
+    default: break;
   }
 }
 
@@ -206,10 +233,11 @@ template <bool kTransposedA>
 SUBFED_ALWAYS_INLINE void gemm_panel(const float* a, const float* b, float* c,
                                      std::size_t lda, std::size_t k, std::size_t n,
                                      std::size_t i0, std::size_t i1, bool accumulate) {
+  const TileStore store = accumulate ? TileStore::kAdd : TileStore::kOverwrite;
   const std::size_t tail = n % kNr;
   const std::size_t j_end = n - tail;
   for (std::size_t j = 0; j < j_end; j += kNr) {
-    tile_rows<kTransposedA>(a, lda, b + j, n, c + j, n, i0, i1, k, kNr, accumulate);
+    tile_rows<kTransposedA>(a, lda, b + j, n, c + j, n, i0, i1, k, kNr, store);
   }
   if (tail != 0) {
     std::vector<float>& packed = packing_scratch(k * kNr);
@@ -220,25 +248,40 @@ SUBFED_ALWAYS_INLINE void gemm_panel(const float* a, const float* b, float* c,
       for (std::size_t jj = tail; jj < kNr; ++jj) packed[p * kNr + jj] = 0.0f;
     }
     tile_rows<kTransposedA>(a, lda, packed.data(), kNr, c + j_end, n, i0, i1, k, tail,
-                            accumulate);
+                            store);
   }
 }
 
+/// k-block of the nt packing: a packed [kKc×kNr] panel is 32 KiB, so it
+/// stays in L1 while the row tiles stream it.
+constexpr std::size_t kKc = 512;
+
 /// nt panel body: B is stored [n×k], so every kNr-column panel is packed
-/// transposed (zero-padded) into [k×kNr]; packing costs k·n per chunk and
-/// amortizes over the chunk's rows.
+/// transposed (zero-padded) into [kc×kNr] k-blocks with contiguous writes;
+/// packing costs k·n per chunk and amortizes over the chunk's rows. Later
+/// k-blocks resume the chains the earlier ones stored in C. An accumulating
+/// call packs all of k as one block, so C's old value is added once, at the
+/// end, as in the nn/tn panels.
 SUBFED_ALWAYS_INLINE void gemm_panel_nt_body(const float* a, const float* b, float* c,
                                              std::size_t k, std::size_t n, std::size_t i0,
                                              std::size_t i1, bool accumulate) {
-  std::vector<float>& packed = packing_scratch(k * kNr);
+  const std::size_t kc = accumulate ? k : std::min(k, kKc);
+  float* packed = packing_scratch(kc * kNr).data();
   for (std::size_t j = 0; j < n; j += kNr) {
     const std::size_t nr = std::min(kNr, n - j);
-    if (nr < kNr) std::fill_n(packed.begin(), k * kNr, 0.0f);
-    for (std::size_t jj = 0; jj < nr; ++jj) {
-      const float* brow = b + (j + jj) * k;
-      for (std::size_t p = 0; p < k; ++p) packed[p * kNr + jj] = brow[p];
+    const float* bpanel = b + j * k;
+    for (std::size_t p0 = 0; p0 < k; p0 += kc) {
+      const std::size_t kb = std::min(kc, k - p0);
+      for (std::size_t p = 0; p < kb; ++p) {
+        float* dst = packed + p * kNr;
+        for (std::size_t jj = 0; jj < nr; ++jj) dst[jj] = bpanel[jj * k + p0 + p];
+        for (std::size_t jj = nr; jj < kNr; ++jj) dst[jj] = 0.0f;
+      }
+      const TileStore store = p0 != 0    ? TileStore::kResume
+                              : accumulate ? TileStore::kAdd
+                                           : TileStore::kOverwrite;
+      tile_rows<false>(a + p0, k, packed, kNr, c + j, n, i0, i1, kb, nr, store);
     }
-    tile_rows<false>(a, k, packed.data(), kNr, c + j, n, i0, i1, k, nr, accumulate);
   }
 }
 

@@ -14,8 +14,11 @@
 //                       and pools workspace
 //
 // Determinism contract (inherited by every caller): each output element is
-// accumulated in ascending-k order regardless of how row panels are chunked,
-// so results are bit-identical for any math_threads value.
+// one ascending-k accumulation chain regardless of how row panels are
+// chunked, which tile height (4, or 1–3 for a row tail) computes it, or how
+// many k-blocks the nt kernel splits it into (a later block resumes the
+// exact float the earlier one stored in C). Results are bit-identical for
+// any math_threads value.
 #pragma once
 
 #include <cstddef>

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -58,8 +59,9 @@ struct GemmCase {
   std::size_t m, k, n;
 };
 
-const GemmCase kShapes[] = {{1, 1, 1},   {3, 5, 7},    {4, 16, 16},  {5, 17, 33},
-                            {13, 31, 63}, {64, 64, 64}, {10, 400, 120}};
+const GemmCase kShapes[] = {{1, 1, 1},     {3, 5, 7},      {4, 16, 16},
+                            {5, 17, 33},   {13, 31, 63},   {64, 64, 64},
+                            {10, 400, 120}, {3, 7840, 75}};
 
 /// Runs one variant on one device. A/B are sized/laid out per variant:
 /// nn: A[m×k], B[k×n] · tn: A[k×m], B[k×n] · nt: A[m×k], B[n×k].
@@ -142,6 +144,70 @@ TEST(BackendEquivalence, ZeroDimensionEdges) {
     // m == 0 / n == 0: nothing written, nothing crashes.
     device.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), 0, 4, 2, false);
     device.gemm(GemmOp::kNT, a.data(), b.data(), c.data(), 2, 4, 0, false);
+  }
+}
+
+// --- bit-exact oracles on the blocked device ---------------------------------
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// Row-major [rows×cols] → [cols×rows].
+std::vector<float> transposed(const std::vector<float>& x, std::size_t rows, std::size_t cols) {
+  std::vector<float> out(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) out[c * rows + r] = x[r * cols + c];
+  }
+  return out;
+}
+
+TEST(BackendExact, NtEqualsNnOnTransposedB) {
+  // The conv dW shapes (lenet5 conv1 at 3 live filters, cnn5 conv1, cnn5
+  // conv2) reduce over N·outH·outW, several k-blocks of the nt packing, plus
+  // an odd shape with a partial last k-block and a column tail. Carrying each
+  // chain through C between k-blocks must reproduce one unsplit chain.
+  const GemmCase shapes[] = {{3, 7840, 75}, {10, 5760, 25}, {20, 640, 250}, {7, 1037, 19}};
+  const Device& blocked = get_device("blocked");
+  Rng rng(17);
+  for (const GemmCase& shape : shapes) {
+    const std::vector<float> a = random_matrix(rng, shape.m * shape.k);
+    const std::vector<float> b_nk = random_matrix(rng, shape.n * shape.k);
+    const std::vector<float> b_kn = transposed(b_nk, shape.n, shape.k);
+    for (const bool accumulate : {false, true}) {
+      EXPECT_TRUE(same_bits(run_variant(blocked, 2, a, b_nk, shape, accumulate),
+                            run_variant(blocked, 0, a, b_kn, shape, accumulate)))
+          << shape.m << "x" << shape.k << "x" << shape.n << (accumulate ? " acc" : "");
+    }
+  }
+}
+
+TEST(BackendExact, RowsDoNotDependOnProblemHeight) {
+  // Rows 0..m-1 of an m-row problem run in tail tiles of every height 1..3;
+  // in a 12-row problem the same rows run in full tiles. Their bits agree.
+  const std::size_t full = 12, k = 600, n = 45;  // k spans two nt k-blocks
+  const Device& blocked = get_device("blocked");
+  Rng rng(19);
+  const std::vector<float> a = random_matrix(rng, full * k);  // [12×k]
+  const std::vector<float> b = random_matrix(rng, k * n);     // [k×n], or [n×k] for nt
+  for (int variant = 0; variant < 3; ++variant) {
+    // tn stores A as [k×m].
+    const auto a_rows = [&](std::size_t m) {
+      std::vector<float> rows(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(m * k));
+      return variant == 1 ? transposed(rows, m, k) : rows;
+    };
+    for (const bool accumulate : {false, true}) {
+      const std::vector<float> tall =
+          run_variant(blocked, variant, a_rows(full), b, {full, k, n}, accumulate);
+      for (std::size_t m = 1; m < 10; ++m) {
+        const std::vector<float> got =
+            run_variant(blocked, variant, a_rows(m), b, {m, k, n}, accumulate);
+        const std::vector<float> want(tall.begin(),
+                                      tall.begin() + static_cast<std::ptrdiff_t>(m * n));
+        EXPECT_TRUE(same_bits(got, want))
+            << "variant " << variant << " m " << m << (accumulate ? " acc" : "");
+      }
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <sys/resource.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -119,8 +121,9 @@ TEST(Argmax, TiesToLowestIndex) {
 // One step's freed tensors are reused by the next without faulting their
 // pages in again. Under glibc's default thresholds the freed top of the heap
 // is trimmed back to the kernel, and this second step faults ~6000 pages.
+// Skipped under ASan and TSan, which replace malloc.
 TEST(Tensor, FreedStorageIsReusedWithoutPageFaults) {
-#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__)
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
   const auto minor_faults = [] {
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
@@ -263,6 +266,117 @@ TEST(Col2Im, IsAdjointOfIm2Col) {
   for (std::size_t i = 0; i < col_n; ++i) lhs += static_cast<double>(ax[i]) * y[i];
   for (std::size_t i = 0; i < img_n; ++i) rhs += static_cast<double>(x[i]) * aty[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// --- exact im2col/col2im sweep ---------------------------------------------
+
+/// Where patch entry (c, ky, kx, y, x) reads the image, or -1 in the halo:
+/// the definition of im2col, one bounds test per element.
+std::ptrdiff_t source_index(const ConvGeometry& g, std::size_t c, std::size_t ky,
+                            std::size_t kx, std::size_t y, std::size_t x) {
+  const auto iy = static_cast<std::ptrdiff_t>(y * g.stride + ky) -
+                  static_cast<std::ptrdiff_t>(g.pad);
+  const auto ix = static_cast<std::ptrdiff_t>(x * g.stride + kx) -
+                  static_cast<std::ptrdiff_t>(g.pad);
+  if (iy < 0 || ix < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h) ||
+      ix >= static_cast<std::ptrdiff_t>(g.in_w)) {
+    return -1;
+  }
+  return static_cast<std::ptrdiff_t>((c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w) +
+         ix;
+}
+
+/// Visits every patch entry in (c, ky, kx, y, x) order with its column index.
+template <typename Fn>
+void for_each_patch_entry(const ConvGeometry& g, std::size_t col_stride,
+                          std::size_t col_offset, const Fn& fn) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
+        for (std::size_t y = 0; y < oh; ++y) {
+          for (std::size_t x = 0; x < ow; ++x) {
+            fn(row * col_stride + col_offset + y * ow + x, source_index(g, c, ky, kx, y, x));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Every geometry of the grid: kernel {1, 2, 3, 5} × stride {1, 2, 3} ×
+/// pad {0, 1, 2} over odd, non-square images (pad ≥ kernel leaves whole
+/// output rows and columns in the halo; kx < pad is a left halo).
+std::vector<ConvGeometry> sweep_geometries() {
+  const std::size_t images[][3] = {{1, 7, 5}, {2, 9, 11}, {1, 3, 13}, {3, 2, 3}};
+  std::vector<ConvGeometry> out;
+  for (const auto& [channels, h, w] : images) {
+    for (const std::size_t kernel : {1, 2, 3, 5}) {
+      for (const std::size_t stride : {1, 2, 3}) {
+        for (const std::size_t pad : {0, 1, 2}) {
+          if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+          out.push_back({channels, h, w, kernel, stride, pad});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string describe(const ConvGeometry& g) {
+  return std::to_string(g.in_channels) + "x" + std::to_string(g.in_h) + "x" +
+         std::to_string(g.in_w) + " k" + std::to_string(g.kernel) + " s" +
+         std::to_string(g.stride) + " p" + std::to_string(g.pad);
+}
+
+// Batched layout: three samples side by side in one wide patch matrix, with
+// two spare columns per row that neither kernel may touch.
+constexpr std::size_t kSweepBatch = 3;
+
+TEST(Im2Col, MatchesPerElementReferenceBitForBit) {
+  const std::vector<ConvGeometry> geometries = sweep_geometries();
+  ASSERT_GE(geometries.size(), 100u);
+  Rng rng(5);
+  for (const ConvGeometry& g : geometries) {
+    const std::size_t image_n = g.in_channels * g.in_h * g.in_w;
+    const std::size_t spatial = g.out_h() * g.out_w();
+    const std::size_t col_stride = kSweepBatch * spatial + 2;
+    std::vector<float> images(kSweepBatch * image_n);
+    for (auto& v : images) v = static_cast<float>(rng.normal());
+    std::vector<float> got(g.patch_size() * col_stride, -7.0f), want = got;
+    for (std::size_t n = 0; n < kSweepBatch; ++n) {
+      const float* image = images.data() + n * image_n;
+      im2col_strided(image, g, got.data(), col_stride, n * spatial);
+      for_each_patch_entry(g, col_stride, n * spatial, [&](std::size_t col, std::ptrdiff_t src) {
+        want[col] = src < 0 ? 0.0f : image[src];
+      });
+    }
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << describe(g);
+  }
+}
+
+TEST(Col2Im, MatchesPerElementReferenceBitForBit) {
+  // Kernels wider than their stride overlap, so image elements sum several
+  // patch entries and any change in their order changes the float result.
+  Rng rng(6);
+  for (const ConvGeometry& g : sweep_geometries()) {
+    const std::size_t image_n = g.in_channels * g.in_h * g.in_w;
+    const std::size_t spatial = g.out_h() * g.out_w();
+    const std::size_t col_stride = kSweepBatch * spatial + 2;
+    std::vector<float> columns(g.patch_size() * col_stride);
+    for (auto& v : columns) v = static_cast<float>(rng.normal());
+    for (std::size_t n = 0; n < kSweepBatch; ++n) {
+      std::vector<float> got(image_n, 9.0f), want(image_n, 0.0f);
+      col2im_strided(columns.data(), g, got.data(), col_stride, n * spatial);
+      for_each_patch_entry(g, col_stride, n * spatial, [&](std::size_t col, std::ptrdiff_t dst) {
+        if (dst >= 0) want[static_cast<std::size_t>(dst)] += columns[col];
+      });
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), image_n * sizeof(float)), 0)
+          << describe(g) << " sample " << n;
+    }
+  }
 }
 
 }  // namespace

@@ -3,13 +3,12 @@
 #include <cstring>
 
 #include "nn/loss.h"
-#include "util/check.h"
 
 namespace subfed {
 
-EvalStats evaluate_client_test(Model& model, const ClientData& data,
-                               std::size_t batch_size) {
-  const std::size_t n = data.test_size();
+EvalStats evaluate_client_test(Model& model, const TestSet& test, std::size_t batch_size) {
+  std::size_t n = 0;
+  for (const TestSlice* s : test) n += static_cast<std::size_t>(s->images.shape()[0]);
   EvalStats stats;
   stats.examples = n;
   if (n == 0) return stats;
@@ -18,9 +17,8 @@ EvalStats evaluate_client_test(Model& model, const ClientData& data,
   // [offset_s, offset_s + rows_s). Slices are label-major in labels_present
   // order, matching the layout the materialized test tensor used to have.
   const std::size_t row_floats =
-      data.test.front()->images.numel() /
-      static_cast<std::size_t>(data.test.front()->images.shape()[0]);
-  std::vector<std::size_t> dims = data.test.front()->images.shape().dims();
+      test.front()->images.numel() / static_cast<std::size_t>(test.front()->images.shape()[0]);
+  std::vector<std::size_t> dims = test.front()->images.shape().dims();
 
   double total_loss = 0.0;
   std::size_t correct = 0, batches = 0;
@@ -31,7 +29,7 @@ EvalStats evaluate_client_test(Model& model, const ClientData& data,
     Tensor batch_images{Shape(dims)};
     std::vector<std::int32_t> batch_labels(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const TestSlice& s = *data.test[slice];
+      const TestSlice& s = *test[slice];
       const std::size_t rows = static_cast<std::size_t>(s.images.shape()[0]);
       std::memcpy(batch_images.data() + i * row_floats,
                   s.images.data() + slice_row * row_floats, row_floats * sizeof(float));
@@ -47,8 +45,6 @@ EvalStats evaluate_client_test(Model& model, const ClientData& data,
     correct += loss.correct;
     ++batches;
   }
-  SUBFEDAVG_CHECK(slice == data.test.size() && slice_row == 0,
-                  "test slices misaligned with test_size()");
   stats.loss = total_loss / batches;
   stats.accuracy = static_cast<double>(correct) / n;
   return stats;

@@ -135,9 +135,9 @@ ClientUpdate SubFedAvgClient::run_round(const StateDict& global, std::size_t rou
   return update;
 }
 
-EvalStats SubFedAvgClient::evaluate_test() {
+EvalStats SubFedAvgClient::evaluate_test(const TestSet& test) {
   model_.load_state(personal_state_);
-  return evaluate_client_test(model_, *data_);
+  return evaluate_client_test(model_, test);
 }
 
 EvalStats SubFedAvgClient::evaluate_val() {

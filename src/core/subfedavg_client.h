@@ -77,8 +77,8 @@ class SubFedAvgClient {
                          ClientRoundReport* report = nullptr);
 
   /// Personalized accuracy: the client's latest trained (masked) model on its
-  /// label-filtered test set.
-  EvalStats evaluate_test();
+  /// label-filtered test set (FederatedData::client_test).
+  EvalStats evaluate_test(const TestSet& test);
   /// Same model on the local validation split.
   EvalStats evaluate_val();
 

@@ -35,14 +35,17 @@ FederatedData::FederatedData(DatasetSpec spec, FederatedDataConfig config)
       config_(config),
       generator_(spec_, config.seed),
       partitioner_(spec_, config.partition, Rng(config.seed).split("partition"),
-                   /*lazy=*/config.client_cache > 0) {
+                   /*lazy=*/config.client_cache > 0),
+      test_slices_(spec_.num_classes) {
   if (lazy()) return;  // clients materialize on demand through client_ptr()
 
   clients_.resize(partitioner_.num_clients());
-  // Materialize clients in parallel; every image is a pure function of
-  // (seed, label, index), so thread scheduling cannot change the data.
+  // Materialize clients and their test slices in parallel; every image is a
+  // pure function of (seed, label, index), so thread scheduling cannot change
+  // the data.
   ThreadPool::global().parallel_for(clients_.size(), [&](std::size_t k) {
     clients_[k] = build_client(k);
+    for (const std::int32_t label : clients_[k].labels_present) (void)test_slice(label);
   });
 }
 
@@ -84,34 +87,32 @@ ClientData FederatedData::build_client(std::size_t k) const {
     cd.val_labels[i] = ref.label;
   }
   cd.val_images = val_stack.take();
-
-  // Test set: the shared per-label pool restricted to the client's labels.
-  cd.test.reserve(cd.labels_present.size());
-  for (const std::int32_t label : cd.labels_present) {
-    cd.test.push_back(test_slice(label));
-  }
   return cd;
 }
 
-std::shared_ptr<const TestSlice> FederatedData::test_slice(std::int32_t label) const {
-  {
-    std::lock_guard<std::mutex> lock(test_mutex_);
-    const auto it = test_slices_.find(label);
-    if (it != test_slices_.end()) return it->second;
-  }
-  // Build outside the lock (concurrent duplicate builds are pure and cheap;
-  // the first insert wins below).
-  auto slice = std::make_shared<TestSlice>();
-  slice->label = label;
-  ImageStacker stack(config_.test_per_class, spec_.channels, spec_.hw);
-  for (std::size_t i = 0; i < config_.test_per_class; ++i) {
-    stack.put(i, generator_.test_image(static_cast<std::size_t>(label), i));
-  }
-  slice->images = stack.take();
+const TestSlice& FederatedData::test_slice(std::int32_t label) const {
+  SUBFEDAVG_CHECK(label >= 0 && static_cast<std::size_t>(label) < test_slices_.size(),
+                  "label " << label);
+  SliceCell& cell = test_slices_[static_cast<std::size_t>(label)];
+  std::call_once(cell.once, [&] {
+    ImageStacker stack(config_.test_per_class, spec_.channels, spec_.hw);
+    for (std::size_t i = 0; i < config_.test_per_class; ++i) {
+      stack.put(i, generator_.test_image(static_cast<std::size_t>(label), i));
+    }
+    cell.slice.label = label;
+    cell.slice.images = stack.take();
+  });
+  return cell.slice;
+}
 
-  std::lock_guard<std::mutex> lock(test_mutex_);
-  const auto [it, inserted] = test_slices_.emplace(label, std::move(slice));
-  return it->second;
+TestSet FederatedData::client_test(std::size_t k) const {
+  SUBFEDAVG_CHECK(k < num_clients(), "client " << k << " out of " << num_clients());
+  const std::vector<std::int32_t> labels =
+      lazy() ? partitioner_.shards_for(k).labels_present : clients_[k].labels_present;
+  TestSet test;
+  test.reserve(labels.size());
+  for (const std::int32_t label : labels) test.push_back(&test_slice(label));
+  return test;
 }
 
 const ClientData& FederatedData::client(std::size_t k) const {

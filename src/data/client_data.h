@@ -11,9 +11,10 @@
 // bit-identical tensors for the same (spec, config): every image is a pure
 // function of (seed, label, index).
 //
-// The per-label test pool is shared: clients reference immutable TestSlice
-// objects (one per label) instead of each holding a private copy of the
-// label-filtered global test set.
+// The test pool is shared and kept apart from the clients: one immutable
+// TestSlice per label, built once on first request. A client's test set is
+// the slices of its labels (`client_test`), found from the partition alone,
+// so evaluation never synthesizes or caches a client's train/val images.
 #pragma once
 
 #include <cstdint>
@@ -36,23 +37,18 @@ struct TestSlice {
   Tensor images;
 };
 
+/// A client's test set: its labels' slices in labels_present order, read as
+/// their virtual concatenation (label-major, ascending). The slices belong to
+/// the FederatedData they came from.
+using TestSet = std::vector<const TestSlice*>;
+
 /// One client's local data, materialized as batch-ready tensors.
 struct ClientData {
   Tensor train_images;                  ///< [n_train, C, H, W]
   std::vector<std::int32_t> train_labels;
   Tensor val_images;                    ///< carved from local train (paper's D^val_k)
   std::vector<std::int32_t> val_labels;
-  /// Per-label test slices in labels_present order — the client's test set is
-  /// their virtual concatenation (label-major, ascending).
-  std::vector<std::shared_ptr<const TestSlice>> test;
   std::vector<std::int32_t> labels_present;
-
-  /// Total test examples across the slices.
-  std::size_t test_size() const noexcept {
-    std::size_t n = 0;
-    for (const auto& slice : test) n += static_cast<std::size_t>(slice->images.shape()[0]);
-    return n;
-  }
 };
 
 /// Handle to one client's data. In eager mode it aliases the resident table;
@@ -70,8 +66,8 @@ struct FederatedDataConfig {
 };
 
 /// The federation's data: shard partition + per-client tensors (eager or
-/// lazily synthesized — see the file comment). Thread-safe: `client_ptr` may
-/// be called concurrently from parallel_for evaluation paths.
+/// lazily synthesized — see the file comment). Thread-safe: `client_ptr` and
+/// `client_test` may be called concurrently from pool threads.
 class FederatedData {
  public:
   FederatedData(DatasetSpec spec, FederatedDataConfig config);
@@ -86,8 +82,10 @@ class FederatedData {
   /// the LRU evicts the cache entry concurrently.
   ClientDataPtr client_ptr(std::size_t k) const;
 
-  /// The shared per-label test pool (built on first request).
-  std::shared_ptr<const TestSlice> test_slice(std::int32_t label) const;
+  /// Client k's test set, in both modes. Reads the client's labels from the
+  /// partition: renders no train/val image and leaves the lazy cache and its
+  /// counters untouched.
+  TestSet client_test(std::size_t k) const;
 
   const ShardPartitioner& partition() const noexcept { return partitioner_; }
 
@@ -99,6 +97,8 @@ class FederatedData {
  private:
   /// Builds one client from scratch — a pure function of (config, k).
   ClientData build_client(std::size_t k) const;
+  /// The shared test pool for one label, built once on first request.
+  const TestSlice& test_slice(std::int32_t label) const;
 
   DatasetSpec spec_;
   FederatedDataConfig config_;
@@ -107,9 +107,12 @@ class FederatedData {
 
   std::vector<ClientData> clients_;  ///< eager mode only
 
-  // Shared per-label test slices (both modes).
-  mutable std::mutex test_mutex_;
-  mutable std::unordered_map<std::int32_t, std::shared_ptr<const TestSlice>> test_slices_;
+  // Shared per-label test slices (both modes), indexed by label.
+  struct SliceCell {
+    std::once_flag once;
+    TestSlice slice;
+  };
+  mutable std::vector<SliceCell> test_slices_;
 
   // Lazy-mode LRU. A cell is inserted under the lock but materialized outside
   // it (call_once), so a slow build never serializes unrelated clients.

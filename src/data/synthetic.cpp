@@ -26,7 +26,9 @@ DatasetSpec DatasetSpec::by_name(const std::string& name) {
 }
 
 SyntheticImageGenerator::SyntheticImageGenerator(DatasetSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)), seed_(seed) {}
+    : spec_(std::move(spec)),
+      seed_(seed),
+      prototypes_(new PrototypeSlot[spec_.num_classes * kPrototypes]) {}
 
 Tensor SyntheticImageGenerator::prototype(std::size_t label, std::size_t which) const {
   SUBFEDAVG_CHECK(label < spec_.num_classes, "label " << label);
@@ -78,6 +80,13 @@ Tensor SyntheticImageGenerator::prototype(std::size_t label, std::size_t which) 
   return img;
 }
 
+const Tensor& SyntheticImageGenerator::cached_prototype(std::size_t label,
+                                                       std::size_t which) const {
+  PrototypeSlot& slot = prototypes_[label * kPrototypes + which];
+  std::call_once(slot.once, [&] { slot.image = prototype(label, which); });
+  return slot.image;
+}
+
 Tensor SyntheticImageGenerator::render(std::size_t label, std::uint64_t stream_tag,
                                        std::size_t index) const {
   SUBFEDAVG_CHECK(label < spec_.num_classes, "label " << label);
@@ -85,7 +94,7 @@ Tensor SyntheticImageGenerator::render(std::size_t label, std::uint64_t stream_t
 
   Rng rng = Rng(seed_).split("example", stream_tag ^ (label * 0x1000003ULL + index));
   const std::size_t which = static_cast<std::size_t>(rng.uniform_index(kPrototypes));
-  const Tensor proto = prototype(label, which);
+  const Tensor& proto = cached_prototype(label, which);
 
   // Brightness jitter, ±2px translation, pixel noise.
   const float gain = static_cast<float>(rng.uniform(0.8, 1.2));

@@ -58,10 +58,9 @@ ClientResult FedAvg::run_client(std::size_t round, const ClientJob& job,
 }
 
 double FedAvg::client_test_accuracy(std::size_t k) {
-  const ClientDataPtr data = ctx_.data->client_ptr(k);
   Model model = ctx_.spec.build();
   model.load_state(global_);
-  return evaluate_client_test(model, *data).accuracy;
+  return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
 FedProx::FedProx(FlContext ctx, double mu) : FedAvg(std::move(ctx)), mu_(mu) {}

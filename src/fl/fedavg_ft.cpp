@@ -22,7 +22,7 @@ double FedAvgFinetune::client_test_accuracy(std::size_t k) {
                                          data->train_labels, config, rng);
     finetune_steps_.fetch_add(stats.steps, std::memory_order_relaxed);
   }
-  return evaluate_client_test(model, *data).accuracy;
+  return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
 }  // namespace subfed

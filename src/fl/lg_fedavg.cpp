@@ -87,12 +87,11 @@ std::vector<StateDict> LgFedAvg::client_state_sections(std::size_t k) {
 }
 
 double LgFedAvg::client_test_accuracy(std::size_t k) {
-  const ClientDataPtr data = ctx_.data->client_ptr(k);
   StateDict state = (*store_.read(k))[0];
   merge_head(state);
   Model model = ctx_.spec.build();
   model.load_state(state);
-  return evaluate_client_test(model, *data).accuracy;
+  return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
 

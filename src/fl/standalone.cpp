@@ -54,10 +54,9 @@ std::vector<StateDict> Standalone::client_state_sections(std::size_t k) {
 }
 
 double Standalone::client_test_accuracy(std::size_t k) {
-  const ClientDataPtr data = ctx_.data->client_ptr(k);
   Model model = ctx_.spec.build();
   model.load_state((*store_.read(k))[0]);
-  return evaluate_client_test(model, *data).accuracy;
+  return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
 

@@ -200,10 +200,9 @@ std::vector<StateDict> SubFedAvg::client_state_sections(std::size_t k) {
 }
 
 double SubFedAvg::client_test_accuracy(std::size_t k) {
-  const ClientDataPtr data = ctx_.data->client_ptr(k);
   Model model = ctx_.spec.build();
   model.load_state((*store_.peek(k))[0]);
-  return evaluate_client_test(model, *data).accuracy;
+  return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
 double SubFedAvg::average_unstructured_pruned() const { return mean(frac_us_); }

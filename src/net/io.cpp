@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include "telemetry/telemetry.h"
@@ -32,6 +33,9 @@ int Deadline::remaining_ms() const {
 }
 
 namespace {
+
+/// The most a frame's buffer grows ahead of the bytes that have arrived.
+constexpr std::size_t kFrameGrowBytes = std::size_t{1} << 20;
 
 /// Waits until `fd` is ready for `events` or the deadline passes. True when
 /// the following syscall may proceed (also on POLLHUP/POLLERR — the syscall
@@ -113,8 +117,15 @@ bool read_frame(int fd, std::vector<std::uint8_t>* out, const Deadline& deadline
   std::uint32_t size = 0;
   for (int i = 0; i < 4; ++i) size |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
   if (size > max_bytes) return false;  // reject before the allocation, not after
-  out->resize(size);
-  const bool ok = read_exact(fd, out->data(), size, deadline);
+  // Grow with the bytes that arrive, a bounded step at a time: a length
+  // prefix alone must not commit the memory it claims.
+  out->clear();
+  bool ok = true;
+  while (ok && out->size() < size) {
+    const std::size_t got = out->size();
+    out->resize(got + std::min<std::size_t>(size - got, kFrameGrowBytes));
+    ok = read_exact(fd, out->data() + got, out->size() - got, deadline);
+  }
   if (ok && watch.armed()) {
     static telemetry::Counter& frames = telemetry::counter("net.frames_received");
     static telemetry::Counter& received = telemetry::counter("net.bytes_received");

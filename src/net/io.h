@@ -52,7 +52,8 @@ bool read_exact(int fd, void* data, std::size_t n, const Deadline& deadline = {}
 bool write_frame(int fd, std::span<const std::uint8_t> bytes,
                  const Deadline& deadline = {});
 /// Reads one frame into `out`. A length prefix above `max_bytes` fails
-/// without allocating.
+/// without allocating; below it, `out` grows as the payload arrives, at most
+/// 1 MiB ahead of the bytes received.
 bool read_frame(int fd, std::vector<std::uint8_t>* out, const Deadline& deadline = {},
                 std::size_t max_bytes = kMaxFrameBytes);
 

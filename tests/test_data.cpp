@@ -3,6 +3,8 @@
 
 #include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "data/client_data.h"
 #include "data/partition.h"
@@ -58,6 +60,104 @@ TEST(SyntheticGenerator, ImageShape) {
   SyntheticImageGenerator g(DatasetSpec::cifar10(), 1);
   const Tensor img = g.train_image(0, 0);
   EXPECT_EQ(img.shape(), Shape({3, 32, 32}));
+}
+
+/// FNV-1a over a tensor's float bytes.
+std::uint64_t fnv1a(const Tensor& t) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.numel() * sizeof(float); ++i) {
+    hash = (hash ^ bytes[i]) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(SyntheticGenerator, ImagesArePinnedBitForBit) {
+  // Hashes recorded from the generator before it cached prototypes: any
+  // change to an image's bits changes every accuracy the repo reports.
+  struct Pin {
+    const char* dataset;
+    std::uint64_t seed;
+    bool train;
+    std::size_t label, index;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"mnist", 1, true, 0, 0, 0x380c0809690a18a5ULL},
+      {"mnist", 1, false, 7, 39, 0x99963244ad4ff922ULL},
+      {"mnist", 42, true, 3, 7, 0xf293e837a58d85fcULL},
+      {"cifar10", 1, true, 0, 0, 0x236217a4f947d709ULL},
+      {"cifar10", 1, false, 9, 12, 0x9d3107f63b389ea5ULL},
+      {"cifar10", 7, true, 4, 1234, 0x01651570d8c039b5ULL},
+      {"emnist", 3, true, 46, 5, 0x19a63a93672286d4ULL},
+      {"cifar100", 2, false, 99, 3, 0x20d709216274ccf1ULL},
+  };
+  for (const Pin& pin : pins) {
+    const SyntheticImageGenerator g(DatasetSpec::by_name(pin.dataset), pin.seed);
+    for (const char* pass : {"cold", "warm"}) {
+      const Tensor image =
+          pin.train ? g.train_image(pin.label, pin.index) : g.test_image(pin.label, pin.index);
+      EXPECT_EQ(fnv1a(image), pin.hash)
+          << pin.dataset << " seed " << pin.seed << (pin.train ? " train " : " test ")
+          << pin.label << "/" << pin.index << " (" << pass << ")";
+    }
+  }
+}
+
+/// The image recipe spelled out on the uncached prototype(): brightness
+/// jitter, a ±2 px shift and pixel noise, drawn from the image's own stream.
+Tensor reference_image(const SyntheticImageGenerator& g, std::uint64_t seed, bool train,
+                       std::size_t label, std::size_t index) {
+  const std::size_t ch = g.spec().channels, hw = g.spec().hw;
+  const std::uint64_t tag = hash_name(train ? "train" : "test");
+  Rng rng = Rng(seed).split("example", tag ^ (label * 0x1000003ULL + index));
+  const Tensor proto =
+      g.prototype(label, static_cast<std::size_t>(rng.uniform_index(g.prototypes_per_class())));
+  const float gain = static_cast<float>(rng.uniform(0.8, 1.2));
+  const int shift_x = static_cast<int>(rng.uniform_index(5)) - 2;
+  const int shift_y = static_cast<int>(rng.uniform_index(5)) - 2;
+  Tensor img({ch, hw, hw});
+  for (std::size_t c = 0; c < ch; ++c) {
+    for (int y = 0; y < static_cast<int>(hw); ++y) {
+      for (int x = 0; x < static_cast<int>(hw); ++x) {
+        const int sy = y - shift_y, sx = x - shift_x;
+        const bool inside = sy >= 0 && sy < static_cast<int>(hw) && sx >= 0 &&
+                            sx < static_cast<int>(hw);
+        const float value = inside ? proto[(c * hw + sy) * hw + sx] : 0.0f;
+        img[(c * hw + y) * hw + x] =
+            gain * value + static_cast<float>(rng.normal(0.0, g.spec().noise));
+      }
+    }
+  }
+  return img;
+}
+
+TEST(SyntheticGenerator, RacingThreadsSeeTheUncachedPrototypes) {
+  // 8 threads draw a fresh generator's first images at once, through the
+  // generator and a copy of it made before any image; each image must equal
+  // the recipe applied to the uncached prototype().
+  const std::uint64_t seed = 17;
+  const SyntheticImageGenerator g(DatasetSpec::cifar10(), seed);
+  const SyntheticImageGenerator copy = g;
+  constexpr std::size_t kThreads = 8, kImages = 12;
+  std::vector<std::vector<Tensor>> drawn(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const SyntheticImageGenerator& source = t % 2 == 0 ? g : copy;
+      for (std::size_t i = 0; i < kImages; ++i) {
+        drawn[t].push_back(source.train_image(i % 3, i));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < kImages; ++i) {
+    const Tensor want = reference_image(g, seed, /*train=*/true, i % 3, i);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(drawn[t][i], want) << "thread " << t << " image " << i;
+    }
+  }
+  EXPECT_EQ(g.test_image(5, 2), reference_image(g, seed, /*train=*/false, 5, 2));
 }
 
 TEST(SyntheticGenerator, ClassPrototypesAreSeparated) {
@@ -167,8 +267,9 @@ TEST(FederatedData, ClientTensorsSized) {
     EXPECT_EQ(cd.train_images.shape()[0], 54u);
     EXPECT_EQ(cd.train_labels.size(), 54u);
     EXPECT_EQ(cd.val_images.shape()[0], 6u);
-    EXPECT_EQ(cd.test_size(), cd.labels_present.size() * 10);
-    for (const auto& slice : cd.test) EXPECT_EQ(slice->images.shape()[0], 10u);
+    const TestSet test = data.client_test(k);
+    EXPECT_EQ(test.size(), cd.labels_present.size());
+    for (const TestSlice* slice : test) EXPECT_EQ(slice->images.shape()[0], 10u);
     EXPECT_EQ(cd.train_images.shape()[1], 1u);
     EXPECT_EQ(cd.train_images.shape()[2], 28u);
   }
@@ -184,7 +285,7 @@ TEST(FederatedData, TestSetOnlyClientLabels) {
   for (std::size_t k = 0; k < data.num_clients(); ++k) {
     const ClientData& cd = data.client(k);
     std::set<std::int32_t> allowed(cd.labels_present.begin(), cd.labels_present.end());
-    for (const auto& slice : cd.test) EXPECT_TRUE(allowed.count(slice->label));
+    for (const TestSlice* slice : data.client_test(k)) EXPECT_TRUE(allowed.count(slice->label));
     for (const std::int32_t l : cd.train_labels) EXPECT_TRUE(allowed.count(l));
     for (const std::int32_t l : cd.val_labels) EXPECT_TRUE(allowed.count(l));
   }
@@ -199,9 +300,10 @@ TEST(FederatedData, DeterministicAcrossConstructions) {
   for (std::size_t k = 0; k < 3; ++k) {
     EXPECT_EQ(a.client(k).train_images, b.client(k).train_images);
     EXPECT_EQ(a.client(k).train_labels, b.client(k).train_labels);
-    ASSERT_EQ(a.client(k).test.size(), b.client(k).test.size());
-    for (std::size_t s = 0; s < a.client(k).test.size(); ++s) {
-      EXPECT_EQ(a.client(k).test[s]->images, b.client(k).test[s]->images);
+    const TestSet test_a = a.client_test(k), test_b = b.client_test(k);
+    ASSERT_EQ(test_a.size(), test_b.size());
+    for (std::size_t s = 0; s < test_a.size(); ++s) {
+      EXPECT_EQ(test_a[s]->images, test_b[s]->images);
     }
   }
 }
@@ -218,8 +320,10 @@ TEST(FederatedData, SharedTestPoolConsistentAcrossClients) {
   std::map<std::int32_t, const TestSlice*> first_seen;
   for (std::size_t k = 0; k < data.num_clients(); ++k) {
     const ClientData& cd = data.client(k);
+    const TestSet test = data.client_test(k);
+    ASSERT_EQ(test.size(), cd.labels_present.size());
     for (std::size_t li = 0; li < cd.labels_present.size(); ++li) {
-      const TestSlice& slice = *cd.test[li];
+      const TestSlice& slice = *test[li];
       EXPECT_EQ(slice.label, cd.labels_present[li]);
       auto [it, inserted] = first_seen.emplace(slice.label, &slice);
       // Dedup means shared labels point at the SAME immutable slice object.

@@ -209,6 +209,23 @@ TEST(Framing, TruncatedPayloadFails) {
   EXPECT_FALSE(recv_frame(pair.server, &got));
 }
 
+TEST(Framing, ClaimedLengthIsNotAllocatedBeforeItArrives) {
+  // A prefix claiming 2^30 - 1 bytes (under kMaxFrameBytes), then 64 bytes,
+  // then EOF: the read fails, and the buffer tracks the 64 bytes that came,
+  // not the gigabyte that was claimed.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::uint32_t claimed = (1u << 30) - 1;
+  std::vector<std::uint8_t> bytes(4 + 64, 0x5A);
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<std::uint8_t>(claimed >> (8 * i));
+  write_raw(fds[1], bytes);
+  ::close(fds[1]);
+  std::vector<std::uint8_t> payload;
+  EXPECT_FALSE(read_frame(fds[0], &payload, Deadline::after_ms(30000)));
+  EXPECT_LT(payload.capacity(), std::size_t{2} << 20);
+  ::close(fds[0]);
+}
+
 TEST(Framing, BadMagicAndBadKindFail) {
   {
     SocketPair pair;

@@ -6,7 +6,8 @@
 //   * spill/refault determinism under a cache small enough to thrash, across
 //     a mid-run save/restore;
 //   * data-level tensor equality between residency modes (shards and
-//     dirichlet partitions), plus concurrent lazy access;
+//     dirichlet partitions), concurrent lazy access, and evaluation that
+//     never refetches a client's training data;
 //   * the event-driven round loop (arrivals/dwell): deterministic per seed,
 //     arrival-bounded sampling, drained-population accounting, and the spec
 //     validation rules guarding it.
@@ -173,9 +174,11 @@ TEST(LazyData, TensorsMatchEagerAcrossPartitioners) {
       EXPECT_EQ(e->val_images, l->val_images) << partition << " client " << k;
       EXPECT_EQ(e->val_labels, l->val_labels) << partition << " client " << k;
       EXPECT_EQ(e->labels_present, l->labels_present) << partition << " client " << k;
-      ASSERT_EQ(e->test.size(), l->test.size()) << partition << " client " << k;
-      for (std::size_t s = 0; s < e->test.size(); ++s) {
-        EXPECT_EQ(e->test[s]->images, l->test[s]->images) << partition << " client " << k;
+      const TestSet e_test = eager.client_test(k), l_test = lazy.client_test(k);
+      ASSERT_EQ(e_test.size(), l_test.size()) << partition << " client " << k;
+      for (std::size_t s = 0; s < e_test.size(); ++s) {
+        EXPECT_EQ(e_test[s]->label, l_test[s]->label) << partition << " client " << k;
+        EXPECT_EQ(e_test[s]->images, l_test[s]->images) << partition << " client " << k;
       }
     }
     // 8 clients through a 3-slot cache: the LRU must actually have evicted.
@@ -206,12 +209,34 @@ TEST(LazyData, ConcurrentClientPtrAccessIsSafeAndPinned) {
           const std::size_t c = (k + static_cast<std::size_t>(t)) % data.num_clients();
           const ClientDataPtr held = data.client_ptr(c);
           EXPECT_EQ(held->train_labels.size(), train_sizes[c]);
-          EXPECT_GT(held->test_size(), 0u);
+          EXPECT_FALSE(data.client_test(c).empty());
         }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
+}
+
+TEST(LazyData, EvaluationSynthesizesNoTrainingData) {
+  // Evaluation reads only test slices: a lazy session's evaluate() must not
+  // refetch the training data of clients the 2-slot cache evicted.
+  ExperimentSpec eager = base_spec("subfedavg_un");
+  ExperimentSpec lazy = base_spec("subfedavg_un");
+  lazy.client_cache = 2;
+  auto eager_session = FederationSession::from_spec(eager);
+  auto lazy_session = FederationSession::from_spec(lazy);
+  ASSERT_TRUE(eager_session->advance_round());
+  ASSERT_TRUE(lazy_session->advance_round());
+
+  const FederatedData& data = *lazy_session->algorithm().context().data;
+  const std::uint64_t misses = data.cache_misses();
+  const std::uint64_t hits = data.cache_hits();
+  EXPECT_GT(misses, 0u);
+  const std::vector<double> lazy_acc = lazy_session->algorithm().all_test_accuracies();
+  EXPECT_EQ(lazy_session->evaluate(), eager_session->evaluate());
+  EXPECT_EQ(data.cache_misses(), misses);
+  EXPECT_EQ(data.cache_hits(), hits);
+  EXPECT_EQ(lazy_acc, eager_session->algorithm().all_test_accuracies());
 }
 
 // --- event-driven rounds ------------------------------------------------------

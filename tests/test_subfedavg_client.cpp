@@ -157,10 +157,10 @@ TEST_F(SubFedAvgClientTest, CombinedMaskComposesChannelAndWeightMasks) {
 TEST_F(SubFedAvgClientTest, EvaluateUsesPersonalState) {
   SubFedAvgClient client(0, spec(), un_config(), &data().client(0), Rng(9));
   client.seed_personal(initial_global());
-  const double before = client.evaluate_test().accuracy;
+  const double before = client.evaluate_test(data().client_test(0)).accuracy;
   StateDict global = initial_global();
   for (std::size_t round = 0; round < 4; ++round) client.run_round(global, round);
-  const double after = client.evaluate_test().accuracy;
+  const double after = client.evaluate_test(data().client_test(0)).accuracy;
   // Trained-on-own-labels model must beat the untrained initial model.
   EXPECT_GT(after, before + 0.2);
 }
@@ -183,8 +183,8 @@ TEST_F(SubFedAvgClientTest, SeedPersonalFixesNeverSampledEval) {
   SubFedAvgClient client(0, spec(), un_config(), &data().client(0), Rng(12));
   // Without seeding, the template has zero weights → ~chance accuracy.
   client.seed_personal(initial_global());
-  const EvalStats eval = client.evaluate_test();
-  EXPECT_EQ(eval.examples, data().client(0).test_size());
+  const EvalStats eval = client.evaluate_test(data().client_test(0));
+  EXPECT_EQ(eval.examples, data().client(0).labels_present.size() * 8);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Engineering micro-benchmarks (google-benchmark): GEMM/conv throughput per
-// device (naive vs blocked vs sparse at several mask densities), one conv
-// layer's training step at model-zoo shapes, mask operations, and the two
-// aggregation rules (the DESIGN.md §4.2 counting-vs-strict-intersection
-// ablation at the per-op level).
+// device (naive vs blocked vs sparse at several mask densities), one conv,
+// BatchNorm or Linear layer's training step and one conv layer's eval
+// forward at model-zoo shapes, mask operations, and the two aggregation
+// rules (the DESIGN.md §4.2 counting-vs-strict-intersection ablation at the
+// per-op level).
 //
-// The device GEMM matrix and the conv layer rows are the perf-trajectory
-// record for the kernel layer; CI runs them as
-//   ./bench_micro --benchmark_filter='GemmBackend|ConvForward|ConvLayer'
+// The device GEMM matrix and the layer rows are the perf-trajectory record
+// for the kernel layer; CI runs them as
+//   ./bench_micro --benchmark_filter='GemmBackend|ConvForward|LayerTrain|LayerEval'
 //                 --benchmark_out=BENCH_gemm.json --benchmark_out_format=json
 // and uploads BENCH_gemm.json, so regressions show up run over run.
 #include <benchmark/benchmark.h>
@@ -14,7 +15,9 @@
 #include <algorithm>
 
 #include "core/aggregate.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "nn/linear.h"
 #include "nn/model_zoo.h"
 #include "pruning/unstructured.h"
 #include "tensor/device.h"
@@ -129,7 +132,7 @@ BENCHMARK(BM_ConvForwardBackend)
     ->Args({1, 15})
     ->Args({2, 15});
 
-/// One conv layer as a pruned client trains it: 5×5 kernel, batch 10.
+/// One conv layer as a pruned client trains it: 5×5 kernel.
 struct ConvLayerCase {
   const char* label;
   std::size_t in_channels, out_channels, hw;
@@ -145,14 +148,12 @@ const ConvLayerCase kConvLayers[] = {
     {"cnn5.conv2/un50", 10, 20, 12, 10, 20, 0.5, false},  // 50% unstructured
 };
 
-/// args: {case index} — a train-mode forward plus backward of one Conv2d on
-/// the blocked device. Pruned channels are zero in the weights, the input
-/// planes and dY, as after a channel mask; live-channel execution skips them.
-void BM_ConvLayerTrain(benchmark::State& state) {
-  const ConvLayerCase& lc = kConvLayers[state.range(0)];
-  constexpr std::size_t kBatch = 10, kKernel = 5, kK2 = kKernel * kKernel;
-  Rng rng(5);
-  Conv2d conv("conv", lc.in_channels, lc.out_channels, kKernel);
+constexpr std::size_t kConvKernel = 5;
+
+/// The case's Conv2d on the blocked device, its pruned weights exact zeros.
+Conv2d pruned_conv(const ConvLayerCase& lc, Rng& rng) {
+  constexpr std::size_t kK2 = kConvKernel * kConvKernel;
+  Conv2d conv("conv", lc.in_channels, lc.out_channels, kConvKernel);
   conv.init(rng);
   conv.set_device(&get_device("blocked"));
   conv.set_needs_input_grad(!lc.first);
@@ -165,20 +166,35 @@ void BM_ConvLayerTrain(benchmark::State& state) {
       }
     }
   }
-  const std::size_t out_hw = lc.hw - kKernel + 1;
-  Tensor input({kBatch, lc.in_channels, lc.hw, lc.hw});
-  input.fill_normal(rng, 0.0f, 1.0f);
-  Tensor grad({kBatch, lc.out_channels, out_hw, out_hw});
-  grad.fill_normal(rng, 0.0f, 1.0f);
-  for (std::size_t n = 0; n < kBatch; ++n) {
-    for (std::size_t c = lc.live_in; c < lc.in_channels; ++c) {
-      std::fill_n(input.data() + (n * lc.in_channels + c) * lc.hw * lc.hw, lc.hw * lc.hw, 0.0f);
-    }
-    for (std::size_t o = lc.live_out; o < lc.out_channels; ++o) {
-      std::fill_n(grad.data() + (n * lc.out_channels + o) * out_hw * out_hw, out_hw * out_hw,
-                  0.0f);
+  return conv;
+}
+
+/// [batch, channels, hw, hw] normal activations whose channels from `live`
+/// on are zero planes, as after a channel mask upstream.
+Tensor masked_activations(Rng& rng, std::size_t batch, std::size_t channels, std::size_t hw,
+                          std::size_t live) {
+  Tensor t({batch, channels, hw, hw});
+  t.fill_normal(rng, 0.0f, 1.0f);
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t c = live; c < channels; ++c) {
+      std::fill_n(t.data() + (n * channels + c) * hw * hw, hw * hw, 0.0f);
     }
   }
+  return t;
+}
+
+/// args: {case index} — a train-mode forward plus backward of one Conv2d on
+/// the blocked device at batch 10. Pruned channels are zero in the weights,
+/// the input planes and dY, as after a channel mask; live-channel execution
+/// skips them.
+void BM_ConvLayerTrain(benchmark::State& state) {
+  const ConvLayerCase& lc = kConvLayers[state.range(0)];
+  constexpr std::size_t kBatch = 10;
+  Rng rng(5);
+  Conv2d conv = pruned_conv(lc, rng);
+  const std::size_t out_hw = lc.hw - kConvKernel + 1;
+  const Tensor input = masked_activations(rng, kBatch, lc.in_channels, lc.hw, lc.live_in);
+  const Tensor grad = masked_activations(rng, kBatch, lc.out_channels, out_hw, lc.live_out);
   for (auto _ : state) {
     Tensor out = conv.forward(input, /*train=*/true);
     Tensor grad_input = conv.backward(grad);
@@ -190,6 +206,113 @@ void BM_ConvLayerTrain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
 }
 BENCHMARK(BM_ConvLayerTrain)->DenseRange(0, 3);
+
+/// args: {case index} — an eval forward of the same layer at the evaluation
+/// batch size (core/eval scores a client's test set 32 images at a time).
+void BM_ConvLayerEval(benchmark::State& state) {
+  const ConvLayerCase& lc = kConvLayers[state.range(0)];
+  constexpr std::size_t kBatch = 32;
+  Rng rng(5);
+  Conv2d conv = pruned_conv(lc, rng);
+  const Tensor input = masked_activations(rng, kBatch, lc.in_channels, lc.hw, lc.live_in);
+  for (auto _ : state) {
+    Tensor out = conv.forward(input, /*train=*/false);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(lc.label);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_ConvLayerEval)->DenseRange(0, 3);
+
+/// One BatchNorm2d after a conv layer above, at that layer's output shape.
+struct BatchNormLayerCase {
+  const char* label;
+  std::size_t channels, hw, live;  ///< leading channels structured pruning keeps
+};
+
+const BatchNormLayerCase kBatchNormLayers[] = {
+    {"lenet5.bn1/hy", 6, 28, 3},
+    {"lenet5.bn2/hy", 16, 10, 8},
+    {"cnn5.bn1", 10, 24, 10},
+    {"cnn5.bn2", 20, 8, 20},
+};
+
+/// args: {case index} — a train-mode forward plus backward of one
+/// BatchNorm2d at batch 10. A masked channel arrives as it does in training:
+/// zero input planes, zero dY and γ = β = 0.
+void BM_BatchNormLayerTrain(benchmark::State& state) {
+  const BatchNormLayerCase& lc = kBatchNormLayers[state.range(0)];
+  constexpr std::size_t kBatch = 10;
+  Rng rng(6);
+  BatchNorm2d bn("bn", lc.channels);
+  for (std::size_t c = lc.live; c < lc.channels; ++c) {
+    bn.gamma().value[c] = 0.0f;
+    bn.beta().value[c] = 0.0f;
+  }
+  const Tensor input = masked_activations(rng, kBatch, lc.channels, lc.hw, lc.live);
+  const Tensor grad = masked_activations(rng, kBatch, lc.channels, lc.hw, lc.live);
+  for (auto _ : state) {
+    Tensor out = bn.forward(input, /*train=*/true);
+    Tensor grad_input = bn.backward(grad);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(lc.label);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_BatchNormLayerTrain)->DenseRange(0, 3);
+
+/// One fully connected layer of the model zoo.
+struct LinearLayerCase {
+  const char* label;
+  std::size_t in_features, out_features;
+  std::size_t live_in;  ///< leading inputs fed by unmasked channels
+  double density;       ///< unstructured weight density
+};
+
+const LinearLayerCase kLinearLayers[] = {
+    {"lenet5.fc1/hy", 400, 120, 200, 1.0},  // half of conv2's channels masked
+    {"lenet5.fc2", 120, 84, 120, 1.0},
+    {"cnn5.fc1/un50", 320, 50, 320, 0.5},
+    {"cnn5.fc2/un50", 50, 10, 50, 0.5},
+};
+
+/// args: {case index} — a train-mode forward plus backward of one Linear on
+/// the blocked device at batch 10.
+void BM_LinearLayerTrain(benchmark::State& state) {
+  const LinearLayerCase& lc = kLinearLayers[state.range(0)];
+  constexpr std::size_t kBatch = 10;
+  Rng rng(7);
+  Linear fc("fc", lc.in_features, lc.out_features);
+  fc.init(rng);
+  fc.set_device(&get_device("blocked"));
+  float* w = fc.weight().value.data();
+  for (std::size_t o = 0; o < lc.out_features; ++o) {
+    for (std::size_t i = 0; i < lc.in_features; ++i) {
+      if (i >= lc.live_in || !rng.bernoulli(lc.density)) w[o * lc.in_features + i] = 0.0f;
+    }
+  }
+  Tensor input({kBatch, lc.in_features});
+  input.fill_normal(rng, 0.0f, 1.0f);
+  for (std::size_t n = 0; n < kBatch; ++n) {
+    std::fill(input.data() + n * lc.in_features + lc.live_in,
+              input.data() + (n + 1) * lc.in_features, 0.0f);
+  }
+  Tensor grad({kBatch, lc.out_features});
+  grad.fill_normal(rng, 0.0f, 1.0f);
+  for (auto _ : state) {
+    Tensor out = fc.forward(input, /*train=*/true);
+    Tensor grad_input = fc.backward(grad);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(lc.label);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_LinearLayerTrain)->DenseRange(0, 3);
 
 void BM_MagnitudeMaskDerivation(benchmark::State& state) {
   Rng rng(3);

@@ -374,7 +374,8 @@ class TcpTransport final : public Transport {
     net::TcpConn conn = listener_.accept(wait);
     if (!conn.valid()) return false;
     net::NetFrame hello;
-    if (!net::recv_frame(conn, &hello, net::Deadline::after_ms(5000)) ||
+    // A worker's kHello carries no payload; anything longer is not a worker.
+    if (!net::recv_frame(conn, &hello, net::Deadline::after_ms(5000), /*max_payload=*/0) ||
         hello.kind != net::FrameKind::kHello) {
       return false;  // not a worker speaking our protocol; drop it
     }

@@ -41,6 +41,25 @@ void gather_blocks(const float* src, std::size_t stride, const std::vector<std::
   }
 }
 
+/// The explicit path's patch matrix: channels `planes` of every sample of
+/// `input` unrolled into one [planes·K·K × N·spatial] panel, leased from
+/// `dev`, so the whole batch is a single GEMM.
+WorkspaceLease unroll(const Device& dev, const Tensor& input, const ConvGeometry& g,
+                      const std::vector<std::size_t>& planes) {
+  const std::size_t batch = input.shape()[0], plane = g.in_h * g.in_w;
+  const std::size_t k2 = g.kernel * g.kernel, spatial = g.out_h() * g.out_w();
+  const std::size_t cols = batch * spatial;
+  WorkspaceLease columns = dev.lease(planes.size() * k2 * cols);
+  const ConvGeometry one_plane{1, g.in_h, g.in_w, g.kernel, g.stride, g.pad};
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t j = 0; j < planes.size(); ++j) {
+      dev.im2col(input.data() + (n * g.in_channels + planes[j]) * plane, one_plane,
+                 columns.data() + j * k2 * cols, cols, n * spatial);
+    }
+  }
+  return columns;
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::string name, std::size_t in_channels, std::size_t out_channels,
@@ -74,15 +93,14 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   const std::size_t k2 = kernel_ * kernel_, plane = g.in_h * g.in_w;
   const float* w = weight_.value.data();
 
-  // The cached input and patches exist only for backward; inference keeps
-  // neither and drops the last ones, so backward-after-eval fails loudly.
+  // The cached input exists only for backward; inference keeps none and
+  // drops the last one, so backward-after-eval fails loudly.
   cached_input_ = train ? input : Tensor();
-  if (!train) columns_.reset();
   Tensor output({batch, out_channels_, oh, ow});
 
   // Live output channels: weight rows that are not all zero. Live inputs:
-  // planes nonzero in some sample. Training unrolls all of those, since dW
-  // needs them; eval also drops the planes no live weight reads.
+  // planes nonzero in some sample. Eval also drops the planes no live weight
+  // reads (training keeps them: backward's dW needs every nonzero plane).
   const std::vector<std::size_t> rows = nonzero_slices(w, 1, out_channels_, g.patch_size());
   std::vector<std::size_t> inputs = nonzero_slices(input.data(), batch, in_channels_, plane);
   if (!train) {
@@ -93,31 +111,20 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   }
   const std::size_t m = rows.size(), k = inputs.size() * k2;
 
+  // Convolve the whole batch on the live weight panel:
+  // out[m, N·spatial] = W[m, k] · patches[k, N·spatial].
   const Device& dev = device();
   const std::size_t cols = batch * spatial;  // one column per output pixel of the batch
-  WorkspaceLease eval_columns;
-  WorkspaceLease& columns = train ? columns_ : eval_columns;
-  if (columns.size() < k * cols) {
-    columns.reset();
-    columns = dev.lease(k * cols);
-  }
-
-  // Unroll every sample's live planes into one wide patch matrix, then
-  // convolve the whole batch with a single GEMM on the live weight panel:
-  // out[m, N·spatial] = W[m, k] · cols[k, N·spatial].
-  const ConvGeometry one_plane{1, g.in_h, g.in_w, kernel_, stride_, pad_};
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      dev.im2col(input.data() + (n * in_channels_ + inputs[j]) * plane, one_plane,
-                 columns.data() + j * k2 * cols, cols, n * spatial);
-    }
-  }
   WorkspaceLease w_live = dev.lease(m * k);
   gather_blocks(w, g.patch_size(), rows, inputs, k2, w_live.data());
   WorkspaceLease gemm_out = dev.lease(m * cols);
-  dev.gemm(GemmOp::kNN, w_live.data(), columns.data(), gemm_out.data(), m, k, cols,
-           /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch);
-  live_inputs_ = train ? std::move(inputs) : std::vector<std::size_t>();
+  if (dev.direct_conv(g)) {
+    dev.conv_forward(w_live.data(), m, input.data(), batch, g, inputs, gemm_out.data());
+  } else {
+    const WorkspaceLease columns = unroll(dev, input, g, inputs);
+    dev.gemm(GemmOp::kNN, w_live.data(), columns.data(), gemm_out.data(), m, k, cols,
+             /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch);
+  }
 
   // Regroup [m, N·spatial] → [N, oc, spatial] and add the bias. A dead output
   // channel's GEMM row is exactly +0, so it holds what the bias makes of zero.
@@ -157,20 +164,20 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const float* w = weight_.value.data();
 
   // Live output channels: dY rows that are not all zero — a zero row adds
-  // exact zeros to dW, db and dX.
+  // exact zeros to dW, db and dX. Live inputs for dW: the planes nonzero in
+  // some sample, as the train forward found them.
   const std::vector<std::size_t> rows =
       nonzero_slices(grad_output.data(), batch, out_channels_, spatial);
-  const std::size_t m = rows.size(), kf = live_inputs_.size() * k2;
+  const std::vector<std::size_t> inputs =
+      nonzero_slices(input.data(), batch, in_channels_, plane);
+  const std::size_t m = rows.size(), kf = inputs.size() * k2;
 
   const Device& dev = device();
   const std::size_t cols = batch * spatial;
   WorkspaceLease grad_packed = dev.lease(m * cols);
 
   // Regroup live dY rows [N, oc, spatial] → [m, N·spatial] so both weight and
-  // input gradients are single whole-batch GEMMs. columns_ still holds this
-  // batch's patches: only the train-mode forward that set cached_input_
-  // fills them, and eval forwards clear both (failing the check above), so
-  // backward never needs to re-unroll.
+  // input gradients are single whole-batch products.
   for (std::size_t n = 0; n < batch; ++n) {
     const float* go_n = grad_output.data() + n * out_channels_ * spatial;
     for (std::size_t i = 0; i < m; ++i) {
@@ -179,16 +186,22 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     }
   }
 
-  // dW[live rows, unrolled inputs] += dY · colsᵀ. The live block is computed
+  // dW[live rows, live inputs] += dY · patchesᵀ. The live block is computed
   // whole, then added into the gradient — the same single rounding as the
   // full GEMM's accumulate store. Neither operand is a weight.
   WorkspaceLease grad_w = dev.lease(m * kf);
-  dev.gemm(GemmOp::kNT, grad_packed.data(), columns_.data(), grad_w.data(), m, cols, kf,
-           /*accumulate=*/false);
+  if (dev.direct_conv(g)) {
+    dev.conv_weight_grad(grad_packed.data(), m, input.data(), batch, g, inputs,
+                         grad_w.data());
+  } else {
+    const WorkspaceLease columns = unroll(dev, input, g, inputs);
+    dev.gemm(GemmOp::kNT, grad_packed.data(), columns.data(), grad_w.data(), m, cols, kf,
+             /*accumulate=*/false);
+  }
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < live_inputs_.size(); ++j) {
-      float* dst = weight_.grad.data() + rows[i] * patch + live_inputs_[j] * k2;
-      const float* src = grad_w.data() + (i * live_inputs_.size() + j) * k2;
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      float* dst = weight_.grad.data() + rows[i] * patch + inputs[j] * k2;
+      const float* src = grad_w.data() + (i * inputs.size() + j) * k2;
       for (std::size_t t = 0; t < k2; ++t) dst[t] += src[t];
     }
   }

@@ -1,17 +1,20 @@
-// 2-D convolution (square kernel) via batched im2col + GEMM: the whole batch
-// is unrolled into one [C·K·K, N·outH·outW] patch matrix so each pass is a
-// single large GEMM on the layer's Device instead of a per-sample loop.
+// 2-D convolution (square kernel) over a whole batch at once. On the blocked
+// device a stride-1 layer runs direct kernels that read each patch straight
+// from the input (Device::conv_forward / conv_weight_grad); elsewhere the
+// batch is unrolled into one [C·K·K, N·outH·outW] patch matrix for a single
+// GEMM. Both paths compute the same chains, so they agree bit for bit; dX
+// is always a GEMM followed by col2im.
 //
 // Live-channel execution: every call reads its own operands to find the
 // channels that can contribute — output channels whose weight row (forward)
 // or dY row (backward) is not all zero; input channels whose plane is not
 // all zero in some sample of the batch (forward and dW; eval forwards also
 // drop planes no weight reads) or, for dX, that some weight reads — and runs
-// im2col, the GEMMs and col2im on gathered panels of just those, writing
-// exact zeros (plus bias) elsewhere. Structured pruning zeroes whole filters
-// and their downstream input planes, so a half-width client does about
-// half-width work. The dropped terms are exact zeros and each output keeps
-// its ascending-k accumulation, so for finite operands results are
+// the kernels on gathered panels of just those, writing exact zeros (plus
+// bias) elsewhere. Structured pruning zeroes whole filters and their
+// downstream input planes, so a half-width client does about half-width
+// work. The dropped terms are exact zeros and each output keeps its
+// ascending-k accumulation, so for finite operands results are
 // bit-identical to the full-width computation. No live set is cached across
 // calls: SGD can move an unmasked zero weight without a pruning pass.
 #pragma once
@@ -54,17 +57,11 @@ class Conv2d final : public Layer {
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;  // [N, C, H, W] saved by forward for backward
-  /// im2col patches [live_inputs_·K·K × N·spatial] of the last train-mode
-  /// forward, leased from the layer's device and held for backward: whenever
-  /// cached_input_ is non-empty, `columns_` holds exactly that input's
-  /// patches for the channels in `live_inputs_` — every channel whose plane
-  /// is nonzero, which is all dW needs — so backward never recomputes the
-  /// im2col. Eval forwards release both. All other scratch (the eval patch
-  /// panel, gathered weights, GEMM outputs, packed grads) is leased per call
-  /// and returned to the device pool on scope exit.
-  WorkspaceLease columns_;
-  std::vector<std::size_t> live_inputs_;  ///< input channels unrolled in columns_
+  /// [N, C, H, W] saved by a train forward for backward; an eval forward
+  /// clears it. All scratch (patch panels, gathered weights, GEMM outputs,
+  /// packed grads) is leased per call and returned to the device pool on
+  /// scope exit, so nothing else is held from forward to backward.
+  Tensor cached_input_;
 };
 
 }  // namespace subfed

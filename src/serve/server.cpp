@@ -57,6 +57,11 @@ std::vector<std::uint8_t> encode_sections(const std::vector<StateDict>& sections
 
 net::Deadline request_io_deadline() { return net::Deadline::after_ms(5000); }
 
+/// Largest operator request payload: requests carry nothing or a short ASCII
+/// integer (a tail cursor or a client index), so a peer claiming more is
+/// dropped at its length prefix instead of read until the deadline.
+constexpr std::size_t kMaxRequestBytes = 4096;
+
 /// Largest kMetricsTail reply chunk: big enough to drain thousands of round
 /// records per page, small enough to never stress the framing layer.
 constexpr std::size_t kTailChunkBytes = 256 * 1024;
@@ -327,7 +332,7 @@ void ServerLoop::service_requests() {
       if (i == 0) continue;  // listener: accepted at the top of the next spin
       net::TcpConn& conn = request_conns_[i - 1];
       net::NetFrame frame;
-      if (!net::recv_frame(conn, &frame, request_io_deadline()) ||
+      if (!net::recv_frame(conn, &frame, request_io_deadline(), kMaxRequestBytes) ||
           !handle_request(conn, frame)) {
         conn.close();
       }

@@ -211,6 +211,76 @@ void Device::col2im(const float* columns, const ConvGeometry& g, float* image,
 
 namespace {
 
+/// Geometry of the copy border_planes makes of `planes` input channels.
+ConvGeometry bordered(const ConvGeometry& g, std::size_t planes) noexcept {
+  return {planes, g.in_h + 2 * g.pad, g.in_w + 2 * g.pad, g.kernel, 1, 0};
+}
+
+/// Channels `planes` of every sample of `input`, copied into leased scratch
+/// laid out as `b` (a zero border of g.pad around each plane) and followed
+/// by kern::kDirectSlack zeros: the buffer the direct conv kernels read.
+WorkspaceLease border_planes(const Device& dev, const float* input, std::size_t batch,
+                             const ConvGeometry& g, const std::vector<std::size_t>& planes,
+                             const ConvGeometry& b) {
+  const std::size_t plane = g.in_h * g.in_w, b_plane = b.in_h * b.in_w;
+  const std::size_t size = batch * planes.size() * b_plane;
+  WorkspaceLease copy = dev.lease(size + kern::kDirectSlack);
+  float* dst = copy.data();
+  std::fill_n(dst + size, kern::kDirectSlack, 0.0f);
+  if (g.pad != 0) std::fill_n(dst, size, 0.0f);
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (const std::size_t c : planes) {
+      const float* src = input + (n * g.in_channels + c) * plane;
+      if (g.pad == 0) {
+        std::memcpy(dst, src, plane * sizeof(float));
+      } else {
+        for (std::size_t y = 0; y < g.in_h; ++y) {
+          std::memcpy(dst + (y + g.pad) * b.in_w + g.pad, src + y * g.in_w,
+                      g.in_w * sizeof(float));
+        }
+      }
+      dst += b_plane;
+    }
+  }
+  return copy;
+}
+
+}  // namespace
+
+bool Device::direct_conv(const ConvGeometry& g) const noexcept {
+  return kind_ == Kind::kBlocked && g.stride == 1 && g.kernel <= kern::kMaxDirectKernel;
+}
+
+void Device::conv_forward(const float* w, std::size_t m, const float* input,
+                          std::size_t batch, const ConvGeometry& g,
+                          const std::vector<std::size_t>& planes, float* out) const {
+  SUBFEDAVG_CHECK(direct_conv(g), "device '" << name_ << "' has no direct conv for this layer");
+  const ConvGeometry b = bordered(g, planes.size());
+  const std::size_t k = b.patch_size(), cols = batch * b.out_h() * b.out_w();
+  if (kern::handle_trivial(out, m, k, cols, /*accumulate=*/false)) return;
+  const WorkspaceLease copy = border_planes(*this, input, batch, g, planes, b);
+  kern::run_row_chunks(m, kern::plan_chunks(m, 2 * m * k * cols),
+                       [&](std::size_t i0, std::size_t i1) {
+                         kern::conv_panel_forward(w, copy.data(), b, batch, out, i0, i1);
+                       });
+}
+
+void Device::conv_weight_grad(const float* dy, std::size_t m, const float* input,
+                              std::size_t batch, const ConvGeometry& g,
+                              const std::vector<std::size_t>& planes, float* dw) const {
+  SUBFEDAVG_CHECK(direct_conv(g), "device '" << name_ << "' has no direct conv for this layer");
+  const ConvGeometry b = bordered(g, planes.size());
+  const std::size_t k = b.patch_size(), cols = batch * b.out_h() * b.out_w();
+  if (kern::handle_trivial(dw, m, cols, k, /*accumulate=*/false)) return;
+  const WorkspaceLease copy = border_planes(*this, input, batch, g, planes, b);
+  kern::run_row_chunks(m, kern::plan_chunks(m, 2 * m * k * cols),
+                       [&](std::size_t i0, std::size_t i1) {
+                         kern::conv_panel_weight_grad(dy, copy.data(), b, batch, dw, i0, i1);
+                       });
+}
+
+namespace {
+
 /// Row-major element count of the weight-side operand, and its pointer.
 std::pair<const float*, std::size_t> weight_operand(GemmOp op, WeightSide side,
                                                     const float* a, const float* b,

@@ -129,6 +129,28 @@ class Device {
   void col2im(const float* columns, const ConvGeometry& g, float* image,
               std::size_t col_stride, std::size_t col_offset) const;
 
+  /// True when conv_forward and conv_weight_grad serve geometry `g`: the
+  /// blocked device convolves stride-1 layers with kernels up to
+  /// kern::kMaxDirectKernel wide directly, reading patches from the input;
+  /// the naive and sparse devices unroll with im2col.
+  bool direct_conv(const ConvGeometry& g) const noexcept;
+
+  /// out[m × batch·outH·outW] = w[m × planes.size()·K·K] · patches, where the
+  /// patches are those im2col_strided unrolls from channels `planes`
+  /// (ascending) of every sample of the [batch, g.in_channels, g.in_h,
+  /// g.in_w] `input`. Bit-identical to that unrolling followed by gemm(kNN).
+  /// Requires direct_conv(g).
+  void conv_forward(const float* w, std::size_t m, const float* input, std::size_t batch,
+                    const ConvGeometry& g, const std::vector<std::size_t>& planes,
+                    float* out) const;
+
+  /// dw[m × planes.size()·K·K] = dy[m × batch·outH·outW] · patchesᵀ over the
+  /// same patches: bit-identical to gemm(kNT) against their unrolling.
+  /// Requires direct_conv(g).
+  void conv_weight_grad(const float* dy, std::size_t m, const float* input,
+                        std::size_t batch, const ConvGeometry& g,
+                        const std::vector<std::size_t>& planes, float* dw) const;
+
   DeviceStats stats() const noexcept;
 
  private:

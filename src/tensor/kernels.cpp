@@ -285,6 +285,283 @@ SUBFED_ALWAYS_INLINE void gemm_panel_nt_body(const float* a, const float* b, flo
   }
 }
 
+// --- direct convolution ------------------------------------------------------
+// Stride-1 convolution that reads the input rows in place instead of a patch
+// matrix. Each output element is the chain im2col + gemm_panel_nn (forward)
+// or gemm_panel_nt (weight gradient) computes: the same `acc += a * b` steps
+// on the same operands, in the same ascending order, compiled in the same
+// two clones, so both paths agree bit for bit.
+
+/// Where patch row p = (plane, ky, kx) starts relative to the top-left input
+/// element of its output pixel, for every p of one call (thread-local and
+/// grown on demand, like packing_scratch).
+const std::size_t* patch_offsets(const ConvGeometry& g) {
+  thread_local std::vector<std::size_t> offsets;
+  offsets.clear();
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+        offsets.push_back((c * g.in_h + ky) * g.in_w + kx);
+      }
+    }
+  }
+  return offsets.data();
+}
+
+/// Up to 8 consecutive output pixels of one output row: the input element
+/// under the first one's top-left tap, its output column, and how many of the
+/// 8 lanes are pixels (0 for the idle half of a batch's last tile).
+struct Segment {
+  const float* in;
+  std::size_t col;
+  std::size_t nr;
+};
+
+#if SUBFED_VECTOR_TILE
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"  // always inlined
+SUBFED_ALWAYS_INLINE void store_lanes(float* dst, v8sf v, std::size_t nr) noexcept {
+  if (nr == 8) {
+    store8(dst, v);
+    return;
+  }
+  float lanes[8];
+  store8(lanes, v);
+  std::memcpy(dst, lanes, nr * sizeof(float));
+}
+#endif
+
+/// One MR-filter register tile over two segments: micro_tile's chains, with
+/// the two 8-wide halves of each B row loaded in place from the input rows
+/// of `s0` and `s1` instead of from a patch matrix.
+template <std::size_t MR>
+SUBFED_ALWAYS_INLINE void direct_tile(const float* w, std::size_t i, std::size_t k,
+                                      const std::size_t* offsets, const Segment& s0,
+                                      const Segment& s1, float* out,
+                                      std::size_t ldc) noexcept {
+#if SUBFED_VECTOR_TILE
+  v8sf acc0[MR] = {}, acc1[MR] = {};
+  for (std::size_t p = 0; p < k; ++p) {
+    const v8sf b0 = load8(s0.in + offsets[p]), b1 = load8(s1.in + offsets[p]);
+    for (std::size_t r = 0; r < MR; ++r) {
+      const v8sf av = v8sf{} + w[(i + r) * k + p];  // broadcast, as micro_tile
+      acc0[r] += av * b0;
+      acc1[r] += av * b1;
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    store_lanes(out + (i + r) * ldc + s0.col, acc0[r], s0.nr);
+    store_lanes(out + (i + r) * ldc + s1.col, acc1[r], s1.nr);
+  }
+#else
+  float acc[MR][2 * 8] = {};
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      const float av = w[(i + r) * k + p];
+      for (std::size_t jj = 0; jj < 8; ++jj) {
+        acc[r][jj] += av * s0.in[offsets[p] + jj];
+        acc[r][8 + jj] += av * s1.in[offsets[p] + jj];
+      }
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    std::memcpy(out + (i + r) * ldc + s0.col, acc[r], s0.nr * sizeof(float));
+    std::memcpy(out + (i + r) * ldc + s1.col, acc[r] + 8, s1.nr * sizeof(float));
+  }
+#endif
+}
+
+/// Filter rows of the direct forward's register tile: 6 × two 8-wide
+/// accumulators plus the two B halves and a broadcast fill the 16 AVX2
+/// registers, and a layer's 8–20 live filters need fewer passes over the
+/// input than at kMr.
+constexpr std::size_t kDirectMr = 6;
+
+/// direct_tile<mr> for a runtime mr ≤ MR.
+template <std::size_t MR>
+SUBFED_ALWAYS_INLINE void direct_tile_upto(std::size_t mr, const float* w, std::size_t i,
+                                           std::size_t k, const std::size_t* offsets,
+                                           const Segment& s0, const Segment& s1, float* out,
+                                           std::size_t ldc) noexcept {
+  if constexpr (MR > 1) {
+    if (mr < MR) {
+      direct_tile_upto<MR - 1>(mr, w, i, k, offsets, s0, s1, out, ldc);
+      return;
+    }
+  }
+  direct_tile<MR>(w, i, k, offsets, s0, s1, out, ldc);
+}
+
+/// Filter rows [i0, i1) of one segment pair, kDirectMr at a time.
+SUBFED_ALWAYS_INLINE void direct_tile_rows(const float* w, std::size_t i0, std::size_t i1,
+                                           std::size_t k, const std::size_t* offsets,
+                                           const Segment& s0, const Segment& s1, float* out,
+                                           std::size_t ldc) noexcept {
+  for (std::size_t i = i0; i < i1; i += kDirectMr) {
+    direct_tile_upto<kDirectMr>(std::min(kDirectMr, i1 - i), w, i, k, offsets, s0, s1, out,
+                                ldc);
+  }
+}
+
+/// Forward body: the batch's output rows are cut into segments of 8 pixels
+/// (a row's last one shorter), and consecutive segments are paired into
+/// 16-lane tiles across row and sample boundaries, so a row whose width is
+/// not a multiple of 16 wastes at most the lanes of its last segment.
+SUBFED_ALWAYS_INLINE void conv_forward_body(const float* w, const float* planes,
+                                            const ConvGeometry& g, std::size_t batch,
+                                            float* out, std::size_t i0, std::size_t i1) {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), k = g.patch_size();
+  const std::size_t sample = g.in_channels * g.in_h * g.in_w, ldc = batch * oh * ow;
+  const std::size_t* offsets = patch_offsets(g);
+  Segment pending{};
+  bool paired = false;
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      const float* row = planes + n * sample + y * g.in_w;
+      for (std::size_t x0 = 0; x0 < ow; x0 += 8) {
+        const Segment s{row + x0, (n * oh + y) * ow + x0, std::min<std::size_t>(8, ow - x0)};
+        if (paired) {
+          direct_tile_rows(w, i0, i1, k, offsets, pending, s, out, ldc);
+        } else {
+          pending = s;
+        }
+        paired = !paired;
+      }
+    }
+  }
+  if (paired) {  // an odd segment count: the last tile's second half is idle
+    direct_tile_rows(w, i0, i1, k, offsets, pending, Segment{pending.in, pending.col, 0}, out,
+                     ldc);
+  }
+}
+
+/// FB filters × GB (plane, ky) groups of the weight gradient: each group's
+/// kx taps share one 8-lane accumulator per filter, and every accumulator is
+/// one unbroken chain over the batch's pixels in ascending order, starting
+/// from zero, with gemm_panel_nt's operands (dY broadcast, patch value).
+/// Lanes at kx ≥ K are discarded.
+template <std::size_t FB, std::size_t GB>
+SUBFED_ALWAYS_INLINE void direct_dw_tile(const float* dy, std::size_t ldy, const float* planes,
+                                         const std::size_t* group_offsets,
+                                         const ConvGeometry& g, std::size_t batch, float* dw,
+                                         std::size_t ldw) noexcept {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), kernel = g.kernel;
+  const std::size_t sample = g.in_channels * g.in_h * g.in_w;
+#if SUBFED_VECTOR_TILE
+  v8sf acc[FB][GB] = {};
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      const float* dy_row = dy + (n * oh + y) * ow;
+      const float* row = planes + n * sample + y * g.in_w;
+      for (std::size_t x = 0; x < ow; ++x) {
+        v8sf b[GB];
+        for (std::size_t t = 0; t < GB; ++t) b[t] = load8(row + group_offsets[t] + x);
+        for (std::size_t f = 0; f < FB; ++f) {
+          const v8sf av = v8sf{} + dy_row[f * ldy + x];  // broadcast, as micro_tile
+          for (std::size_t t = 0; t < GB; ++t) acc[f][t] += av * b[t];
+        }
+      }
+    }
+  }
+  for (std::size_t f = 0; f < FB; ++f) {
+    for (std::size_t t = 0; t < GB; ++t) store_lanes(dw + f * ldw + t * kernel, acc[f][t], kernel);
+  }
+#else
+  float acc[FB][GB][kMaxDirectKernel] = {};
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      const float* dy_row = dy + (n * oh + y) * ow;
+      const float* row = planes + n * sample + y * g.in_w;
+      for (std::size_t x = 0; x < ow; ++x) {
+        for (std::size_t f = 0; f < FB; ++f) {
+          const float av = dy_row[f * ldy + x];
+          for (std::size_t t = 0; t < GB; ++t) {
+            for (std::size_t kx = 0; kx < kernel; ++kx) {
+              acc[f][t][kx] += av * row[group_offsets[t] + x + kx];
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t f = 0; f < FB; ++f) {
+    for (std::size_t t = 0; t < GB; ++t) {
+      std::memcpy(dw + f * ldw + t * kernel, acc[f][t], kernel * sizeof(float));
+    }
+  }
+#endif
+}
+
+#if SUBFED_VECTOR_TILE
+#pragma GCC diagnostic pop
+#endif
+
+/// Register blocking of the weight gradient: up to kDwFilters filters ×
+/// kDwGroups groups of accumulators per pass over the pixels (the fastest
+/// of 2–4 × 3–6 at the model zoo's shapes).
+constexpr std::size_t kDwFilters = 3;
+constexpr std::size_t kDwGroups = 4;
+
+/// direct_dw_tile<FB, gb> for a runtime gb ≤ GB.
+template <std::size_t FB, std::size_t GB>
+SUBFED_ALWAYS_INLINE void direct_dw_tile_upto(std::size_t gb, const float* dy, std::size_t ldy,
+                                              const float* planes,
+                                              const std::size_t* group_offsets,
+                                              const ConvGeometry& g, std::size_t batch,
+                                              float* dw, std::size_t ldw) noexcept {
+  if constexpr (GB > 1) {
+    if (gb < GB) {
+      direct_dw_tile_upto<FB, GB - 1>(gb, dy, ldy, planes, group_offsets, g, batch, dw, ldw);
+      return;
+    }
+  }
+  direct_dw_tile<FB, GB>(dy, ldy, planes, group_offsets, g, batch, dw, ldw);
+}
+
+/// Filter rows [i, i + FB) against every (plane, ky) group, kDwGroups at a time.
+template <std::size_t FB>
+SUBFED_ALWAYS_INLINE void direct_dw_rows(const float* dy, std::size_t ldy, const float* planes,
+                                         const ConvGeometry& g, std::size_t batch, float* dw,
+                                         std::size_t ldw) noexcept {
+  const std::size_t groups = g.in_channels * g.kernel;
+  std::size_t group_offsets[kDwGroups];
+  for (std::size_t t0 = 0; t0 < groups; t0 += kDwGroups) {
+    const std::size_t gb = std::min(kDwGroups, groups - t0);
+    for (std::size_t t = 0; t < gb; ++t) {
+      const std::size_t c = (t0 + t) / g.kernel, ky = (t0 + t) % g.kernel;
+      group_offsets[t] = (c * g.in_h + ky) * g.in_w;
+    }
+    // Group t0 = (c, ky) starts at patch row (c, ky, 0) = t0·K.
+    direct_dw_tile_upto<FB, kDwGroups>(gb, dy, ldy, planes, group_offsets, g, batch,
+                                       dw + t0 * g.kernel, ldw);
+  }
+}
+
+/// direct_dw_rows<fb> for a runtime fb ≤ FB.
+template <std::size_t FB>
+SUBFED_ALWAYS_INLINE void direct_dw_rows_upto(std::size_t fb, const float* dy, std::size_t ldy,
+                                              const float* planes, const ConvGeometry& g,
+                                              std::size_t batch, float* dw,
+                                              std::size_t ldw) noexcept {
+  if constexpr (FB > 1) {
+    if (fb < FB) {
+      direct_dw_rows_upto<FB - 1>(fb, dy, ldy, planes, g, batch, dw, ldw);
+      return;
+    }
+  }
+  direct_dw_rows<FB>(dy, ldy, planes, g, batch, dw, ldw);
+}
+
+SUBFED_ALWAYS_INLINE void conv_weight_grad_body(const float* dy, const float* planes,
+                                                const ConvGeometry& g, std::size_t batch,
+                                                float* dw, std::size_t i0, std::size_t i1) {
+  const std::size_t ldy = batch * g.out_h() * g.out_w(), ldw = g.patch_size();
+  for (std::size_t i = i0; i < i1; i += kDwFilters) {
+    direct_dw_rows_upto<kDwFilters>(std::min(kDwFilters, i1 - i), dy + i * ldy, ldy, planes,
+                                    g, batch, dw + i * ldw, ldw);
+  }
+}
+
 // Dispatched entry points: the AVX2+FMA variants recompile the same inlined
 // loop nests with wider registers and fused multiply-adds; the plain variants
 // are the portable fallback (and the only build on non-x86 targets).
@@ -305,6 +582,17 @@ SUBFED_AVX2_TARGET void gemm_panel_nt_avx2(const float* a, const float* b, float
                                            std::size_t k, std::size_t n, std::size_t i0,
                                            std::size_t i1, bool accumulate) {
   gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate);
+}
+SUBFED_AVX2_TARGET void conv_panel_forward_avx2(const float* w, const float* planes,
+                                                const ConvGeometry& g, std::size_t batch,
+                                                float* out, std::size_t i0, std::size_t i1) {
+  conv_forward_body(w, planes, g, batch, out, i0, i1);
+}
+SUBFED_AVX2_TARGET void conv_panel_weight_grad_avx2(const float* dy, const float* planes,
+                                                    const ConvGeometry& g, std::size_t batch,
+                                                    float* dw, std::size_t i0,
+                                                    std::size_t i1) {
+  conv_weight_grad_body(dy, planes, g, batch, dw, i0, i1);
 }
 #endif
 
@@ -343,6 +631,28 @@ void gemm_panel_nt(const float* a, const float* b, float* c, std::size_t k, std:
   }
 #endif
   gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate);
+}
+
+void conv_panel_forward(const float* w, const float* planes, const ConvGeometry& g,
+                        std::size_t batch, float* out, std::size_t i0, std::size_t i1) {
+#if SUBFED_X86_DISPATCH
+  if (cpu_has_avx2_fma()) {
+    conv_panel_forward_avx2(w, planes, g, batch, out, i0, i1);
+    return;
+  }
+#endif
+  conv_forward_body(w, planes, g, batch, out, i0, i1);
+}
+
+void conv_panel_weight_grad(const float* dy, const float* planes, const ConvGeometry& g,
+                            std::size_t batch, float* dw, std::size_t i0, std::size_t i1) {
+#if SUBFED_X86_DISPATCH
+  if (cpu_has_avx2_fma()) {
+    conv_panel_weight_grad_avx2(dy, planes, g, batch, dw, i0, i1);
+    return;
+  }
+#endif
+  conv_weight_grad_body(dy, planes, g, batch, dw, i0, i1);
 }
 
 // --- sparse kernels ----------------------------------------------------------

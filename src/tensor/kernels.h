@@ -1,13 +1,14 @@
-// The kernel layer: register-tiled dense panels, CSR sparse panels and the
-// row-chunk runner. Stateless apart from the process-wide knobs in
-// tensor/backend.h.
+// The kernel layer: register-tiled dense panels, direct stride-1
+// convolution, CSR sparse panels and the row-chunk runner. Stateless apart
+// from the process-wide knobs in tensor/backend.h.
 //
 // The compute stack has two layers:
 //
 //   tensor/kernels.h  — this header: kernels that compute rows [i0, i1) of a
-//                       GEMM output, and the runner that spreads row chunks
-//                       over the thread pool (tensor/gemm.h holds the naive
-//                       reference loops and im2col/col2im)
+//                       GEMM output or of a direct convolution's filter
+//                       rows, and the runner that spreads row chunks over the
+//                       thread pool (tensor/gemm.h holds the naive reference
+//                       loops and im2col/col2im)
 //   tensor/device.h   — storage-owning devices (naive | blocked | sparse):
 //                       each dispatches straight to its kernels, plans the
 //                       fan-out, caches sparse-vs-dense decisions per weight,
@@ -15,16 +16,20 @@
 //
 // Determinism contract (inherited by every caller): each output element is
 // one ascending-k accumulation chain regardless of how row panels are
-// chunked, which tile height (4, or 1–3 for a row tail) computes it, or how
-// many k-blocks the nt kernel splits it into (a later block resumes the
-// exact float the earlier one stored in C). Results are bit-identical for
-// any math_threads value.
+// chunked, which tile height computes it (4 in the GEMMs, 6 in the direct
+// forward, fewer for a row tail), or how many k-blocks the nt kernel splits
+// it into (a later block resumes the exact float the earlier one stored in
+// C). Results are bit-identical for any math_threads value. The direct
+// convolution kernels compute the same chains as im2col followed by the nn
+// (forward) or nt (weight gradient) panel, so the two conv paths agree bit
+// for bit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "tensor/gemm.h"
 #include "util/thread_pool.h"
 
 namespace subfed {
@@ -81,6 +86,34 @@ void gemm_panel_tn(const float* a, const float* b, float* c, std::size_t lda,
                    bool accumulate);
 void gemm_panel_nt(const float* a, const float* b, float* c, std::size_t k, std::size_t n,
                    std::size_t i0, std::size_t i1, bool accumulate);
+
+// --- direct convolution (stride 1, no padding) -------------------------------
+// `planes` holds a batch as [batch × g.in_channels × g.in_h × g.in_w] floats
+// followed by kDirectSlack more: an 8-lane load for a row's last pixels (at
+// least one) or last kernel tap (K ≥ 1) runs up to 7 floats past the row,
+// and the slack keeps the loads of the last row inside the buffer (those
+// lanes are discarded). Padding is applied by
+// the caller as a zero border, so g.pad must be 0 and g.stride 1. Patch row
+// p = (plane, ky, kx) and output column q = (sample, y, x) are ordered as
+// im2col_strided orders them over a batch.
+
+/// Widest kernel conv_panel_weight_grad handles: one 8-lane vector covers
+/// kx for each (plane, ky) row.
+constexpr std::size_t kMaxDirectKernel = 8;
+/// Floats past the last plane that a direct-conv input buffer must hold.
+constexpr std::size_t kDirectSlack = 7;
+
+/// Rows [i0, i1) of out[m × batch·outH·outW] = w[m × C·K·K] · patches:
+/// the chains gemm_panel_nn computes against im2col of `planes`.
+void conv_panel_forward(const float* w, const float* planes, const ConvGeometry& g,
+                        std::size_t batch, float* out, std::size_t i0, std::size_t i1);
+
+/// Rows [i0, i1) of dw[m × C·K·K] = dy[m × batch·outH·outW] · patchesᵀ: the
+/// chains gemm_panel_nt computes against im2col of `planes` (each one
+/// unbroken over the pixels, in ascending order). Needs g.kernel ≤
+/// kMaxDirectKernel.
+void conv_panel_weight_grad(const float* dy, const float* planes, const ConvGeometry& g,
+                            std::size_t batch, float* dw, std::size_t i0, std::size_t i1);
 
 // --- sparse kernels ----------------------------------------------------------
 

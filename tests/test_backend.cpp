@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -23,6 +24,7 @@
 #include "nn/trainer.h"
 #include "tensor/backend.h"
 #include "tensor/device.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -388,6 +390,207 @@ TEST(BackendLayers, BatchedIm2colMatchesPerSample) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Direct convolution: the blocked device's stride-1 kernels read patches
+// straight from the input and must equal im2col + gemm on the same device bit
+// for bit, at any math_threads value. Inputs are allocated to their exact
+// size, and the kernels are also called on a bordered buffer holding exactly
+// kern::kDirectSlack floats of slack, so a sanitizer build catches any read
+// past either.
+
+struct DirectCase {
+  std::size_t kernel, channels, filters, out_w, out_h, batch, pad;
+  std::vector<std::size_t> planes;  ///< live input channels, ascending
+
+  ConvGeometry geometry() const {
+    return {channels, out_h + kernel - 1 - 2 * pad, out_w + kernel - 1 - 2 * pad, kernel, 1,
+            pad};
+  }
+  std::string label() const {
+    std::string planes_str;
+    for (const std::size_t c : planes) planes_str += std::to_string(c) + ",";
+    return "K" + std::to_string(kernel) + " C" + std::to_string(channels) + " planes {" +
+           planes_str + "} filters " + std::to_string(filters) + " out " +
+           std::to_string(out_h) + "x" + std::to_string(out_w) + " batch " +
+           std::to_string(batch) + " pad " + std::to_string(pad);
+  }
+};
+
+/// Every case the direct tests sweep: kernels 1, 3, 5 and 8; 1–3 and 10 input
+/// channels, some with only a subset live; 1–9, 16 and 20 filters; output
+/// widths 8, 10, 13, 24 and 28; batches 1, 10 and 32; no padding and pad 1.
+std::vector<DirectCase> direct_cases() {
+  const std::pair<std::size_t, std::vector<std::size_t>> inputs[] = {
+      {1, {0}}, {2, {1}}, {3, {0, 1, 2}}, {3, {0, 2}}, {10, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+      {10, {1, 4, 5, 9}}};
+  const std::size_t filters[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 20};
+  const std::size_t widths[] = {8, 10, 13, 24, 28};
+  const std::size_t batches[] = {1, 10, 32};
+  std::vector<DirectCase> cases;
+  std::size_t i = 0;
+  for (const std::size_t kernel : {1, 3, 5}) {
+    for (const std::size_t f : filters) {
+      for (const std::size_t w : widths) {
+        const auto& [channels, planes] = inputs[i % 6];
+        const std::size_t pad = kernel == 3 && i % 4 == 0 ? 1 : 0;
+        cases.push_back({kernel, channels, f, w, 1 + i % 3, batches[i % 3], pad, planes});
+        ++i;
+      }
+    }
+  }
+  cases.push_back({8, 3, 6, 13, 2, 10, 0, {0, 1, 2}});   // the widest direct kernel
+  cases.push_back({5, 3, 3, 28, 28, 10, 0, {0, 1, 2}});  // hy conv1 at half width
+  cases.push_back({5, 6, 8, 10, 10, 10, 0, {0, 2, 4}});  // hy conv2 at half width
+  return cases;
+}
+
+std::vector<float> random_operand(Rng& rng, std::size_t size) {
+  std::vector<float> out(size);
+  for (auto& x : out) {
+    // Exact zeros of both signs exercise the broadcasts' handling of -0.
+    const double u = rng.uniform();
+    x = u < 0.05 ? 0.0f : u < 0.1 ? -0.0f : static_cast<float>(rng.normal());
+  }
+  return out;
+}
+
+/// The explicit path's patch panel: im2col of `planes` of every sample.
+std::vector<float> unrolled(const std::vector<float>& input, const DirectCase& c) {
+  const ConvGeometry g = c.geometry();
+  const std::size_t plane = g.in_h * g.in_w, k2 = c.kernel * c.kernel;
+  const std::size_t spatial = g.out_h() * g.out_w(), cols = c.batch * spatial;
+  std::vector<float> columns(c.planes.size() * k2 * cols);
+  const ConvGeometry one{1, g.in_h, g.in_w, g.kernel, 1, g.pad};
+  for (std::size_t n = 0; n < c.batch; ++n) {
+    for (std::size_t j = 0; j < c.planes.size(); ++j) {
+      im2col_strided(input.data() + (n * c.channels + c.planes[j]) * plane, one,
+                     columns.data() + j * k2 * cols, cols, n * spatial);
+    }
+  }
+  return columns;
+}
+
+/// The live planes with a zero border of c.pad and exactly kDirectSlack floats
+/// after them: the buffer the kernels read.
+std::vector<float> bordered(const std::vector<float>& input, const DirectCase& c) {
+  const ConvGeometry g = c.geometry();
+  const std::size_t hp = g.in_h + 2 * c.pad, wp = g.in_w + 2 * c.pad;
+  std::vector<float> out(c.batch * c.planes.size() * hp * wp + kern::kDirectSlack, 0.0f);
+  for (std::size_t n = 0; n < c.batch; ++n) {
+    for (std::size_t j = 0; j < c.planes.size(); ++j) {
+      const float* src = input.data() + (n * c.channels + c.planes[j]) * g.in_h * g.in_w;
+      float* dst = out.data() + (n * c.planes.size() + j) * hp * wp;
+      for (std::size_t y = 0; y < g.in_h; ++y) {
+        std::memcpy(dst + (y + c.pad) * wp + c.pad, src + y * g.in_w, g.in_w * sizeof(float));
+      }
+    }
+  }
+  return out;
+}
+
+ConvGeometry bordered_geometry(const DirectCase& c) {
+  const ConvGeometry g = c.geometry();
+  return {c.planes.size(), g.in_h + 2 * c.pad, g.in_w + 2 * c.pad, c.kernel, 1, 0};
+}
+
+TEST(ConvDirect, ForwardMatchesIm2colGemmBitForBit) {
+  const Device& dev = get_device("blocked");
+  const std::size_t prev_threads = math_threads();
+  Rng rng(71);
+  for (const DirectCase& c : direct_cases()) {
+    const ConvGeometry g = c.geometry();
+    ASSERT_TRUE(dev.direct_conv(g)) << c.label();
+    const std::size_t k = c.planes.size() * c.kernel * c.kernel;
+    const std::size_t cols = c.batch * g.out_h() * g.out_w();
+    const std::vector<float> input =
+        random_operand(rng, c.batch * c.channels * g.in_h * g.in_w);
+    const std::vector<float> w = random_operand(rng, c.filters * k);
+    std::vector<float> want(c.filters * cols);
+    dev.gemm(GemmOp::kNN, w.data(), unrolled(input, c).data(), want.data(), c.filters, k, cols,
+             /*accumulate=*/false);
+    for (const std::size_t threads : {1, 4}) {
+      set_math_threads(threads);
+      std::vector<float> got(want.size(), 1.0f);
+      dev.conv_forward(w.data(), c.filters, input.data(), c.batch, g, c.planes, got.data());
+      EXPECT_TRUE(same_bits(want, got)) << c.label() << " at math_threads " << threads;
+    }
+    // The kernel itself, on a buffer with exactly the slack it may read, in
+    // two row chunks.
+    const std::vector<float> planes = bordered(input, c);
+    std::vector<float> got(want.size(), 1.0f);
+    const std::size_t split = c.filters / 2;
+    kern::conv_panel_forward(w.data(), planes.data(), bordered_geometry(c), c.batch,
+                             got.data(), 0, split);
+    kern::conv_panel_forward(w.data(), planes.data(), bordered_geometry(c), c.batch,
+                             got.data(), split, c.filters);
+    EXPECT_TRUE(same_bits(want, got)) << c.label() << " kernel";
+  }
+  set_math_threads(prev_threads);
+}
+
+TEST(ConvDirect, WeightGradMatchesNtBitForBit) {
+  const Device& dev = get_device("blocked");
+  const std::size_t prev_threads = math_threads();
+  Rng rng(72);
+  for (const DirectCase& c : direct_cases()) {
+    const ConvGeometry g = c.geometry();
+    const std::size_t k = c.planes.size() * c.kernel * c.kernel;
+    const std::size_t cols = c.batch * g.out_h() * g.out_w();
+    const std::vector<float> input =
+        random_operand(rng, c.batch * c.channels * g.in_h * g.in_w);
+    const std::vector<float> dy = random_operand(rng, c.filters * cols);
+    std::vector<float> want(c.filters * k);
+    dev.gemm(GemmOp::kNT, dy.data(), unrolled(input, c).data(), want.data(), c.filters, cols, k,
+             /*accumulate=*/false);
+    for (const std::size_t threads : {1, 4}) {
+      set_math_threads(threads);
+      std::vector<float> got(want.size(), 1.0f);
+      dev.conv_weight_grad(dy.data(), c.filters, input.data(), c.batch, g, c.planes,
+                           got.data());
+      EXPECT_TRUE(same_bits(want, got)) << c.label() << " at math_threads " << threads;
+    }
+    const std::vector<float> planes = bordered(input, c);
+    std::vector<float> got(want.size(), 1.0f);
+    const std::size_t split = c.filters / 2;
+    kern::conv_panel_weight_grad(dy.data(), planes.data(), bordered_geometry(c), c.batch,
+                                 got.data(), 0, split);
+    kern::conv_panel_weight_grad(dy.data(), planes.data(), bordered_geometry(c), c.batch,
+                                 got.data(), split, c.filters);
+    EXPECT_TRUE(same_bits(want, got)) << c.label() << " kernel";
+  }
+  set_math_threads(prev_threads);
+}
+
+TEST(ConvDirect, OnlyTheBlockedDeviceRunsStrideOneLayersDirectly) {
+  const ConvGeometry lenet_conv1{3, 32, 32, 5, 1, 0};
+  EXPECT_TRUE(get_device("blocked").direct_conv(lenet_conv1));
+  EXPECT_TRUE(get_device("blocked").direct_conv({16, 32, 32, 3, 1, 1}));  // padded
+  EXPECT_FALSE(get_device("blocked").direct_conv({2, 9, 9, 3, 2, 1}));   // strided
+  EXPECT_FALSE(get_device("blocked").direct_conv({1, 20, 20, 9, 1, 0})); // wider than 8
+  EXPECT_FALSE(get_device("naive").direct_conv(lenet_conv1));
+  EXPECT_FALSE(get_device("sparse").direct_conv(lenet_conv1));
+  std::vector<float> out(6 * 28 * 28);
+  const std::vector<float> input(3 * 32 * 32), w(6 * 75);
+  EXPECT_THROW(get_device("naive").conv_forward(w.data(), 6, input.data(), 1, lenet_conv1,
+                                                {0, 1, 2}, out.data()),
+               CheckError);
+}
+
+TEST(KernelLayout, PanelEntryPointsStartOn64ByteBoundaries) {
+  // src/tensor and src/nn are compiled with -falign-functions=64 so that a
+  // size change elsewhere in the library never moves the kernels' loops
+  // relative to cache lines (CMakeLists.txt).
+  const std::pair<const char*, std::uintptr_t> entries[] = {
+      {"gemm_panel_nn", reinterpret_cast<std::uintptr_t>(&kern::gemm_panel_nn)},
+      {"gemm_panel_tn", reinterpret_cast<std::uintptr_t>(&kern::gemm_panel_tn)},
+      {"gemm_panel_nt", reinterpret_cast<std::uintptr_t>(&kern::gemm_panel_nt)},
+      {"conv_panel_forward", reinterpret_cast<std::uintptr_t>(&kern::conv_panel_forward)},
+      {"conv_panel_weight_grad",
+       reinterpret_cast<std::uintptr_t>(&kern::conv_panel_weight_grad)},
+  };
+  for (const auto& [name, address] : entries) EXPECT_EQ(address % 64, 0u) << name;
 }
 
 TEST(BackendPlumbing, ModelSpecBackendSelectionAndValidation) {

@@ -614,6 +614,75 @@ TEST(LiveChannels, ConvMatchesFullWidthAndNarrowedLayersBitwise) {
   }
 }
 
+TEST(LiveChannels, DirectConvMatchesExplicitCompositionAtModelZooShapes) {
+  // The blocked device runs these stride-1 layers with its direct kernels;
+  // full_width is im2col + GEMM on the same device. Train forward, dW, db,
+  // dX and eval forwards at the training and evaluation batch sizes must all
+  // agree bit for bit, dense and with half the channels pruned.
+  struct LayerCase {
+    const char* name;
+    std::size_t in, out, hw;
+    std::vector<std::size_t> pruned_out, dead_in;
+  };
+  const LayerCase cases[] = {
+      {"lenet5 conv1", 3, 6, 32, {}, {}},
+      {"lenet5 conv1 half", 3, 6, 32, {1, 3, 4}, {}},
+      {"lenet5 conv2", 6, 16, 14, {}, {}},
+      {"lenet5 conv2 half", 6, 16, 14, {0, 2, 5, 6, 9, 11, 12, 15}, {1, 3, 4}},
+      {"cnn5 conv1", 1, 10, 28, {}, {}},
+      {"cnn5 conv2", 10, 20, 12, {}, {}},
+  };
+  const Device& blocked = get_device("blocked");
+  for (const LayerCase& lc : cases) {
+    Rng rng(81);
+    Conv2d conv("c", lc.in, lc.out, 5);
+    conv.set_device(&blocked);
+    conv.init(rng);
+    conv.bias().value.fill_normal(rng, 0.0f, 0.5f);
+    float* w = conv.weight().value.data();
+    const std::size_t patch = lc.in * 25;
+    for (const std::size_t o : lc.pruned_out) std::fill_n(w + o * patch, patch, 0.0f);
+    for (std::size_t o = 0; o < lc.out; ++o) {
+      for (const std::size_t c : lc.dead_in) std::fill_n(w + o * patch + c * 25, 25, 0.0f);
+    }
+    auto input = [&](std::size_t batch) {
+      Tensor x({batch, lc.in, lc.hw, lc.hw});
+      x.fill_normal(rng, 0.0f, 1.0f);
+      for (std::size_t n = 0; n < batch; ++n) {
+        for (const std::size_t c : lc.dead_in) {
+          std::fill_n(x.data() + (n * lc.in + c) * lc.hw * lc.hw, lc.hw * lc.hw, 0.0f);
+        }
+      }
+      return x;
+    };
+    const std::size_t ohw = lc.hw - 4;
+    const Tensor x = input(10);
+    Tensor dy({10, lc.out, ohw, ohw});
+    dy.fill_normal(rng, 0.0f, 1.0f);
+    for (std::size_t n = 0; n < 10; ++n) {
+      for (const std::size_t o : lc.pruned_out) {
+        std::fill_n(dy.data() + (n * lc.out + o) * ohw * ohw, ohw * ohw, 0.0f);
+      }
+    }
+    conv.set_needs_input_grad(true);
+    const FullWidthConv want = full_width(conv, x, dy);
+    const Tensor out = conv.forward(x, /*train=*/true);
+    const Tensor dx = conv.backward(dy);
+    EXPECT_TRUE(same_bits(want.out.data(), out.data(), out.numel())) << lc.name << ": forward";
+    EXPECT_TRUE(same_bits(want.dw.data(), conv.weight().grad.data(), want.dw.numel()))
+        << lc.name << ": dW";
+    EXPECT_TRUE(same_bits(want.db.data(), conv.bias().grad.data(), lc.out)) << lc.name << ": db";
+    EXPECT_TRUE(same_bits(want.dx.data(), dx.data(), dx.numel())) << lc.name << ": dX";
+
+    const Tensor eval_x = input(32);
+    const Tensor eval_dy({32, lc.out, ohw, ohw});
+    const FullWidthConv eval_want = full_width(conv, eval_x, eval_dy);
+    const Tensor eval = conv.forward(eval_x, /*train=*/false);
+    EXPECT_TRUE(same_bits(eval_want.out.data(), eval.data(), eval.numel()))
+        << lc.name << ": eval forward at batch 32";
+  }
+}
+
 TEST(LiveChannels, FirstLayerSkipsInputGradWithoutChangingParameterGrads) {
   ModelSpec spec = ModelSpec::lenet5(10);
   Rng init_rng(51);

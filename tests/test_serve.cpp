@@ -17,6 +17,7 @@
 #include "fl/checkpoint.h"
 #include "fl/experiment.h"
 #include "fl/worker.h"
+#include "net/io.h"
 #include "net/socket.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -449,6 +450,49 @@ TEST(ServerLoop, ServesStatusAndModelDuringLiveRoundsAndResumesAfterRestart) {
   }
 
   std::filesystem::remove(checkpoint);
+}
+
+TEST(ServerLoop, DropsAnOversizedOperatorRequestAtItsLengthPrefix) {
+  // Operator requests are tiny. A peer whose kStatus header claims a 1 MiB
+  // payload is cut off at the length prefix, instead of holding the loop in
+  // a read until the request deadline (5 s) while rounds wait.
+  ServeOptions options;
+  options.spec = serve_spec(fresh_path("oversized.session"));
+  auto loop = std::make_unique<ServerLoop>(options);
+  std::vector<std::thread> fleet = spawn_fleet(loop->worker_endpoint(), 2);
+  std::thread server;
+  Teardown teardown{loop, server, fleet};
+  const std::string requests_at = loop->request_endpoint();
+  server = std::thread([&] { loop->run(); });
+  // Rounds are ticking (so the fleet has joined and teardown can release it).
+  while (parse_json(text_of(request(requests_at, net::FrameKind::kStatus)))
+             .number_or("round", 0.0) < 1.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+
+  net::TcpConn raw =
+      net::TcpConn::connect(net::parse_host_port(requests_at), net::Deadline::after_ms(5000));
+  ASSERT_TRUE(raw.valid());
+  std::vector<std::uint8_t> bytes = {0x54, 0x4E, 0x46, 0x53,  // "SFNT", little-endian
+                                     static_cast<std::uint8_t>(net::FrameKind::kStatus)};
+  bytes.insert(bytes.end(), 8, 0);                 // tag
+  bytes.insert(bytes.end(), {0x00, 0x00, 0x10, 0x00});  // payload length 1 MiB
+  bytes.insert(bytes.end(), 8192, 0xAB);           // the first 8 KiB of it
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(net::write_exact(raw.fd(), bytes.data(), bytes.size(),
+                               net::Deadline::after_ms(5000)));
+
+  const int fds[] = {raw.fd()};
+  ASSERT_FALSE(net::wait_readable(fds, 30000).empty()) << "the server never closed the peer";
+  std::uint8_t byte = 0;
+  EXPECT_FALSE(net::read_exact(raw.fd(), &byte, 1, net::Deadline::after_ms(1000)))
+      << "the server answered an oversized request";
+  const net::NetFrame reply = request(requests_at, net::FrameKind::kStatus);
+  EXPECT_EQ(reply.kind, net::FrameKind::kReply);
+  EXPECT_TRUE(parse_json(text_of(reply)).is_object());
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sent).count();
+  EXPECT_LT(seconds, 4.0) << "the oversized request held the loop until its deadline";
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,16 @@ StateDict masked_aggregate(std::span<const ClientUpdate> updates,
                            const StateDict& previous_global, CoveredRule rule) {
   check_aligned(updates, previous_global);
 
+  // Each update's values (aligned with previous_global by check_aligned),
+  // mask (nullptr: keeps every element) and weight for one entry, resolved
+  // once per entry rather than per element.
+  struct Source {
+    const Tensor* values;
+    const float* mask;
+    float weight;
+  };
+  std::vector<Source> sources(updates.size());
+
   StateDict out;
   for (std::size_t e = 0; e < previous_global.size(); ++e) {
     const auto& [name, prev] = previous_global[e];
@@ -32,12 +42,16 @@ StateDict masked_aggregate(std::span<const ClientUpdate> updates,
 
     // Covered by any client's mask? (All clients share mask coverage sets by
     // construction; tolerate per-client differences by checking each.)
+    const std::size_t n = merged.numel();
     bool any_covered = false;
-    for (const ClientUpdate& u : updates) {
-      if (u.mask.find(name) != nullptr) {
-        any_covered = true;
-        break;
-      }
+    for (std::size_t j = 0; j < updates.size(); ++j) {
+      const ClientUpdate& u = updates[j];
+      const Tensor* mask = u.mask.find(name);
+      SUBFEDAVG_CHECK(mask == nullptr || mask->numel() >= n,
+                      "mask entry '" << name << "' is shorter than its " << n << " values");
+      sources[j] = {&u.state[e].second, mask != nullptr ? mask->data() : nullptr,
+                    static_cast<float>(u.weight)};
+      any_covered = any_covered || mask != nullptr;
     }
 
     // Staleness multipliers ride every rule: each contribution is scaled by
@@ -47,10 +61,9 @@ StateDict masked_aggregate(std::span<const ClientUpdate> updates,
     if (!any_covered) {
       // Weighted average (biases, BN affine terms, running stats).
       float weight_sum = 0.0f;
-      for (const ClientUpdate& u : updates) {
-        const float w = static_cast<float>(u.weight);
-        merged.axpy_(w, *u.state.find(name));
-        weight_sum += w;
+      for (const Source& source : sources) {
+        merged.axpy_(source.weight, *source.values);
+        weight_sum += source.weight;
       }
       SUBFEDAVG_CHECK(weight_sum > 0.0f, "zero total aggregation weight");
       merged.scale_(1.0f / weight_sum);
@@ -58,24 +71,23 @@ StateDict masked_aggregate(std::span<const ClientUpdate> updates,
       continue;
     }
 
-    for (std::size_t i = 0; i < merged.numel(); ++i) {
+    float* merged_data = merged.data();
+    const float* prev_data = prev.data();
+    for (std::size_t i = 0; i < n; ++i) {
       float sum = 0.0f;
       float weight_sum = 0.0f;
       std::size_t keepers = 0;
-      for (const ClientUpdate& u : updates) {
-        const Tensor* m = u.mask.find(name);
-        const bool kept = (m == nullptr) || ((*m)[i] != 0.0f);
-        if (kept) {
-          const float w = static_cast<float>(u.weight);
-          sum += w * (*u.state.find(name))[i];
-          weight_sum += w;
+      for (const Source& source : sources) {
+        if (source.mask == nullptr || source.mask[i] != 0.0f) {
+          sum += source.weight * source.values->data()[i];
+          weight_sum += source.weight;
           ++keepers;
         }
       }
       const bool use_average = rule == CoveredRule::kCounting
                                    ? keepers > 0 && weight_sum > 0.0f
                                    : keepers == updates.size() && weight_sum > 0.0f;
-      merged[i] = use_average ? sum / weight_sum : prev[i];
+      merged_data[i] = use_average ? sum / weight_sum : prev_data[i];
     }
     out.add(name, std::move(merged));
   }

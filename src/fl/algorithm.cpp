@@ -1,5 +1,6 @@
 #include "fl/algorithm.h"
 
+#include "telemetry/telemetry.h"
 #include "tensor/backend.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -69,11 +70,34 @@ Rng FederatedAlgorithm::client_round_rng(std::size_t client, std::size_t round) 
   return Rng(ctx_.seed).split("client-round", client * 1000003ULL + round);
 }
 
+std::optional<std::uint64_t> FederatedAlgorithm::evaluation_key(std::size_t /*k*/) {
+  return std::nullopt;
+}
+
 std::vector<double> FederatedAlgorithm::all_test_accuracies() {
-  std::vector<double> acc(num_clients());
-  ThreadPool::global().parallel_for(num_clients(),
-                                    [&](std::size_t k) { acc[k] = client_test_accuracy(k); });
-  return acc;
+  const std::size_t n = num_clients();
+  if (eval_keys_.size() != n) {
+    eval_accuracies_.assign(n, 0.0);
+    eval_keys_.assign(n, std::nullopt);
+  }
+  std::vector<std::size_t> stale;
+  std::vector<std::optional<std::uint64_t>> stale_keys;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::optional<std::uint64_t> key = evaluation_key(k);
+    if (key && key == eval_keys_[k]) continue;
+    stale.push_back(k);
+    stale_keys.push_back(key);
+  }
+  ThreadPool::global().parallel_for(stale.size(), [&](std::size_t i) {
+    eval_accuracies_[stale[i]] = client_test_accuracy(stale[i]);
+  });
+  for (std::size_t i = 0; i < stale.size(); ++i) eval_keys_[stale[i]] = stale_keys[i];
+
+  static telemetry::Counter& evaluated = telemetry::counter("eval.clients_evaluated");
+  static telemetry::Counter& reused = telemetry::counter("eval.clients_reused");
+  evaluated.add(stale.size());
+  reused.add(n - stale.size());
+  return eval_accuracies_;
 }
 
 ClientResult FederatedAlgorithm::run_client(std::size_t /*round*/, const ClientJob& /*job*/,

@@ -102,7 +102,8 @@ class FederatedAlgorithm {
   virtual void run_round(std::size_t round, std::span<const std::size_t> sampled) = 0;
 
   /// Personalized test accuracy of client k under this algorithm's current
-  /// model(s). Must be safe to call concurrently for distinct k.
+  /// model(s). Must be safe to call concurrently for distinct k. Uncached:
+  /// every call evaluates (all_test_accuracies keeps the table).
   virtual double client_test_accuracy(std::size_t k) = 0;
 
   /// One client's round, runnable ANYWHERE — this process (loopback), a
@@ -164,9 +165,16 @@ class FederatedAlgorithm {
   /// the same "link-fleet" stream the driver used before it moved here.
   void apply_link_spread(double spread, std::uint64_t seed);
 
-  /// Mean personalized accuracy over ALL clients (evaluated in parallel).
+  /// Mean personalized accuracy over ALL clients (all_test_accuracies).
   double average_test_accuracy();
-  /// Per-client personalized accuracies.
+  /// Per-client personalized accuracies, incremental: a client whose
+  /// evaluation_key equals the key of its last evaluation gets that
+  /// evaluation's accuracy, which is exactly what recomputing would give;
+  /// the rest are evaluated in parallel on the global pool, where each task
+  /// writes only its client's slot. Keys are read and the table updated on
+  /// the calling thread, so this is not thread-safe: call it from the
+  /// coordinator between rounds (FederationSession::evaluate/finish and
+  /// ServerLoop do), never concurrently with itself or a round.
   std::vector<double> all_test_accuracies();
 
  protected:
@@ -176,6 +184,14 @@ class FederatedAlgorithm {
 
   /// Deterministic per-(client, round) RNG stream.
   Rng client_round_rng(std::size_t client, std::size_t round) const;
+
+  /// Version of everything client_test_accuracy(k) reads that can change
+  /// after construction; all_test_accuracies re-evaluates client k only when
+  /// it moves. Return a key only when the accuracy is a pure function of the
+  /// keyed state, the client's test slices and the construction-time
+  /// architecture and device. The default, nullopt, evaluates every time:
+  /// right for accuracies that read a global model every round replaces.
+  virtual std::optional<std::uint64_t> evaluation_key(std::size_t k);
 
   /// Runs one round of exchanges through the channel, routing each client's
   /// compute to run_client. When the transport is remote, first fills every
@@ -198,6 +214,11 @@ class FederatedAlgorithm {
   std::uint64_t fleet_seed_ = 0;
   /// Previous process-wide math-thread cap when ctx.math_threads overrode it.
   std::optional<std::size_t> restore_math_threads_;
+  /// all_test_accuracies' table: each client's last accuracy and the
+  /// evaluation_key it was computed at (nullopt: unkeyed or never
+  /// evaluated). Sized by the first evaluation.
+  std::vector<double> eval_accuracies_;
+  std::vector<std::optional<std::uint64_t>> eval_keys_;
 };
 
 }  // namespace subfed

@@ -22,7 +22,8 @@ void ClientStateStore::init(std::size_t num_clients, StateSections initial,
   num_clients_ = num_clients;
   hot_capacity_ = hot_capacity;
   initial_ = std::make_shared<const StateSections>(std::move(initial));
-  touched_.assign(num_clients, false);
+  versions_.clear();
+  epoch_ = ++clock_;
   hot_.clear();
   lru_.clear();
   lru_it_.clear();
@@ -33,7 +34,14 @@ void ClientStateStore::init(std::size_t num_clients, StateSections initial,
 bool ClientStateStore::touched(std::size_t k) const {
   SUBFEDAVG_CHECK(k < num_clients_, "client " << k << " out of " << num_clients_);
   std::lock_guard<std::mutex> lock(mutex_);
-  return touched_[k];
+  return versions_.contains(k);
+}
+
+std::uint64_t ClientStateStore::version(std::size_t k) const {
+  SUBFEDAVG_CHECK(k < num_clients_, "client " << k << " out of " << num_clients_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = versions_.find(k);
+  return it != versions_.end() ? it->second : epoch_;
 }
 
 std::string ClientStateStore::record_name(std::size_t k) {
@@ -107,7 +115,7 @@ void ClientStateStore::evict_overflow_locked() {
 StateSectionsPtr ClientStateStore::read(std::size_t k) {
   SUBFEDAVG_CHECK(k < num_clients_, "client " << k << " out of " << num_clients_);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!touched_[k]) return initial_;
+  if (!versions_.contains(k)) return initial_;
   const auto it = hot_.find(k);
   if (it != hot_.end()) {
     promote_locked(k);
@@ -124,7 +132,7 @@ StateSectionsPtr ClientStateStore::read(std::size_t k) {
 StateSectionsPtr ClientStateStore::peek(std::size_t k) const {
   SUBFEDAVG_CHECK(k < num_clients_, "client " << k << " out of " << num_clients_);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!touched_[k]) return initial_;
+  if (!versions_.contains(k)) return initial_;
   const auto it = hot_.find(k);
   if (it != hot_.end()) return it->second;
   return load_spilled_locked(k);
@@ -133,7 +141,7 @@ StateSectionsPtr ClientStateStore::peek(std::size_t k) const {
 void ClientStateStore::put(std::size_t k, StateSections sections) {
   SUBFEDAVG_CHECK(k < num_clients_, "client " << k << " out of " << num_clients_);
   std::lock_guard<std::mutex> lock(mutex_);
-  touched_[k] = true;
+  versions_[k] = ++clock_;
   // A newer value supersedes any spilled record; its extent stays for reuse.
   if (const auto it = spilled_.find(k); it != spilled_.end()) it->second.size = 0;
   hot_[k] = std::make_shared<const StateSections>(std::move(sections));
@@ -143,7 +151,8 @@ void ClientStateStore::put(std::size_t k, StateSections sections) {
 
 void ClientStateStore::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  touched_.assign(num_clients_, false);
+  versions_.clear();
+  epoch_ = ++clock_;
   hot_.clear();
   lru_.clear();
   lru_it_.clear();

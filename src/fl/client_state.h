@@ -16,7 +16,11 @@
 //    next spill overwrites it when the record fits, so the file is bounded by
 //    the population, not by the run length;
 //  * hot_capacity == 0 keeps every touched client resident — the historical
-//    behavior, with identical values.
+//    behavior, with identical values;
+//  * every put() stamps the client with a fresh version, and init()/reset()
+//    move every untouched client to a fresh shared epoch, all drawn from one
+//    store-wide counter, so equal versions mean equal sections (callers key
+//    derived values, such as a client's test accuracy, on them).
 //
 // Entries are immutable snapshots behind shared_ptr: readers keep a
 // consistent view even if the entry is evicted (or replaced by a newer put)
@@ -51,6 +55,11 @@ class ClientStateStore {
 
   std::size_t size() const noexcept { return num_clients_; }
   bool touched(std::size_t k) const;
+  /// Version of client k's current sections. put() draws a new one; init()
+  /// and reset() draw one shared epoch for every untouched client. Values
+  /// never repeat within the store's life; read(), peek(), spills and
+  /// refaults leave them unchanged.
+  std::uint64_t version(std::size_t k) const;
   const StateSections& initial_sections() const { return *initial_; }
 
   /// Current sections for client k, promoting the entry to hot (refaulting
@@ -86,7 +95,11 @@ class ClientStateStore {
   std::size_t num_clients_ = 0;
   std::size_t hot_capacity_ = 0;
   StateSectionsPtr initial_;
-  std::vector<bool> touched_;
+  /// Touched clients → version of their current sections; every other
+  /// client is at `epoch_`. Both are drawn from `clock_`.
+  std::unordered_map<std::size_t, std::uint64_t> versions_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t clock_ = 0;
 
   mutable std::mutex mutex_;
   std::unordered_map<std::size_t, StateSectionsPtr> hot_;

@@ -116,10 +116,13 @@ std::vector<StateDict> FedMtl::client_state_sections(std::size_t k) {
 
 double FedMtl::client_test_accuracy(std::size_t k) {
   Model model = ctx_.spec.build();
-  model.load_state((*store_.read(k))[0]);
+  model.load_state((*store_.peek(k))[0]);
   return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
+std::optional<std::uint64_t> FedMtl::evaluation_key(std::size_t k) {
+  return store_.version(k);
+}
 
 std::vector<StateDict> FedMtl::checkpoint_state() {
   std::vector<StateDict> sections;

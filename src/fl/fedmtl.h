@@ -34,6 +34,9 @@ class FedMtl final : public FederatedAlgorithm {
   void restore_checkpoint_state(std::vector<StateDict> sections) override;
 
  private:
+  /// The store version of client k: its accuracy reads only its personal
+  /// model, never the mean.
+  std::optional<std::uint64_t> evaluation_key(std::size_t k) override;
   void recompute_mean();
 
   double lambda_;

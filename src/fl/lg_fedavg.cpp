@@ -87,7 +87,7 @@ std::vector<StateDict> LgFedAvg::client_state_sections(std::size_t k) {
 }
 
 double LgFedAvg::client_test_accuracy(std::size_t k) {
-  StateDict state = (*store_.read(k))[0];
+  StateDict state = (*store_.peek(k))[0];
   merge_head(state);
   Model model = ctx_.spec.build();
   model.load_state(state);

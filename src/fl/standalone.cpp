@@ -55,10 +55,13 @@ std::vector<StateDict> Standalone::client_state_sections(std::size_t k) {
 
 double Standalone::client_test_accuracy(std::size_t k) {
   Model model = ctx_.spec.build();
-  model.load_state((*store_.read(k))[0]);
+  model.load_state((*store_.peek(k))[0]);
   return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
+std::optional<std::uint64_t> Standalone::evaluation_key(std::size_t k) {
+  return store_.version(k);
+}
 
 std::vector<StateDict> Standalone::checkpoint_state() {
   std::vector<StateDict> out;

@@ -27,6 +27,9 @@ class Standalone final : public FederatedAlgorithm {
   void restore_checkpoint_state(std::vector<StateDict> sections) override;
 
  private:
+  /// The store version of client k: its accuracy reads only its local model.
+  std::optional<std::uint64_t> evaluation_key(std::size_t k) override;
+
   /// Each client's persistent local model: one section per client, untouched
   /// clients sharing the initial state, cold ones spilled past client_cache.
   ClientStateStore store_;

@@ -205,6 +205,10 @@ double SubFedAvg::client_test_accuracy(std::size_t k) {
   return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
+std::optional<std::uint64_t> SubFedAvg::evaluation_key(std::size_t k) {
+  return store_.version(k);
+}
+
 double SubFedAvg::average_unstructured_pruned() const { return mean(frac_us_); }
 
 double SubFedAvg::average_structured_pruned() const { return mean(frac_s_); }

@@ -9,11 +9,13 @@
 // ClientStateStore: {personal model, weight mask, channel mask}. A round
 // reads them, builds a transient SubFedAvgClient, runs Algorithm 1 or 2 and
 // writes them back; evaluation builds a model and loads the personal section
-// without writing anything; the pre-round download mask comes straight from
-// the stored masks. The per-client RNG is re-derived from (seed, k), so the
-// sections are the client's whole state. ctx.client_cache bounds the store's
-// resident clients and spills the rest bit-exactly (fl/client_state.h); at 0
-// every touched client's sections stay resident.
+// without writing anything, and is skipped while the client's store version
+// is unchanged (FederatedAlgorithm::all_test_accuracies); the pre-round
+// download mask comes straight from the stored masks. The per-client RNG is
+// re-derived from (seed, k), so the sections are the client's whole state.
+// ctx.client_cache bounds the store's resident clients and spills the rest
+// bit-exactly (fl/client_state.h); at 0 every touched client's sections stay
+// resident.
 #pragma once
 
 #include <optional>
@@ -77,6 +79,9 @@ class SubFedAvg final : public FederatedAlgorithm {
   std::size_t client_refaults() const noexcept { return store_.refaults(); }
 
  private:
+  /// The store version of client k: its accuracy reads only the personal
+  /// section and its test slices.
+  std::optional<std::uint64_t> evaluation_key(std::size_t k) override;
   /// Throws CheckError unless `sections` match the initial sections' layout:
   /// three sections with the same entry names and shapes (for the channel
   /// mask: block count and block sizes). Guards every outside input.

@@ -1,6 +1,9 @@
 // Sub-FedAvg aggregation semantics (the paper's server-side rule).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "core/aggregate.h"
 #include "nn/linear.h"
 #include "nn/model_zoo.h"
@@ -145,6 +148,130 @@ TEST(SubFedAvgAggregate, PreservesEntryOrderAndNames) {
     EXPECT_EQ(out[e].first, prev[e].first);
     EXPECT_EQ(out[e].second.shape(), prev[e].second.shape());
   }
+}
+
+// The per-element loop masked aggregation ran before it resolved each
+// update's tensors once per entry: every element looks up the update's mask
+// and state by name. Kept verbatim (both rules) as the bit-level reference.
+StateDict reference_masked_aggregate(std::span<const ClientUpdate> updates,
+                                     const StateDict& previous_global, bool strict) {
+  StateDict out;
+  for (std::size_t e = 0; e < previous_global.size(); ++e) {
+    const auto& [name, prev] = previous_global[e];
+    Tensor merged(prev.shape());
+    bool any_covered = false;
+    for (const ClientUpdate& u : updates) {
+      if (u.mask.find(name) != nullptr) {
+        any_covered = true;
+        break;
+      }
+    }
+    if (!any_covered) {
+      float weight_sum = 0.0f;
+      for (const ClientUpdate& u : updates) {
+        const float w = static_cast<float>(u.weight);
+        merged.axpy_(w, *u.state.find(name));
+        weight_sum += w;
+      }
+      merged.scale_(1.0f / weight_sum);
+      out.add(name, std::move(merged));
+      continue;
+    }
+    for (std::size_t i = 0; i < merged.numel(); ++i) {
+      float sum = 0.0f;
+      float weight_sum = 0.0f;
+      std::size_t keepers = 0;
+      for (const ClientUpdate& u : updates) {
+        const Tensor* m = u.mask.find(name);
+        const bool kept = (m == nullptr) || ((*m)[i] != 0.0f);
+        if (kept) {
+          const float w = static_cast<float>(u.weight);
+          sum += w * (*u.state.find(name))[i];
+          weight_sum += w;
+          ++keepers;
+        }
+      }
+      const bool use_average = !strict ? keepers > 0 && weight_sum > 0.0f
+                                       : keepers == updates.size() && weight_sum > 0.0f;
+      merged[i] = use_average ? sum / weight_sum : prev[i];
+    }
+    out.add(name, std::move(merged));
+  }
+  return out;
+}
+
+void expect_same_bits(const StateDict& got, const StateDict& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    ASSERT_EQ(got[e].first, want[e].first) << what;
+    ASSERT_EQ(got[e].second.numel(), want[e].second.numel()) << what << " " << want[e].first;
+    EXPECT_EQ(std::memcmp(got[e].second.data(), want[e].second.data(),
+                          want[e].second.numel() * sizeof(float)),
+              0)
+        << what << ": entry " << want[e].first << " differs from the per-element loop";
+  }
+}
+
+// Random lenet5-shaped updates: normal values, sparse random masks over the
+// prunable weights, with every third update's mask lacking conv1.weight and
+// the first 32 positions of fc1.weight zero in every mask.
+std::vector<ClientUpdate> random_updates(std::size_t count, bool stale_weights,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  Model model = ModelSpec::lenet5(10).build_init(rng);
+  const ModelMask ones = ModelMask::ones_like(model, MaskScope::kAllPrunable);
+  std::vector<ClientUpdate> updates(count);
+  for (std::size_t j = 0; j < count; ++j) {
+    ClientUpdate& u = updates[j];
+    for (const auto& [name, tensor] : model.state()) {
+      Tensor values(tensor.shape());
+      for (std::size_t i = 0; i < values.numel(); ++i) {
+        values[i] = static_cast<float>(rng.normal());
+      }
+      u.state.add(name, std::move(values));
+      if (ones.find(name) == nullptr || (j % 3 == 2 && name == "conv1.weight")) continue;
+      Tensor keep(tensor.shape());
+      for (std::size_t i = 0; i < keep.numel(); ++i) {
+        const bool dead = name == "fc1.weight" && i < 32;
+        keep[i] = !dead && rng.bernoulli(0.6) ? 1.0f : 0.0f;
+      }
+      u.mask.set(name, std::move(keep));
+    }
+    // Buffered rounds down-weight a late update by 1/(1+staleness)^0.5.
+    u.weight = stale_weights ? 1.0 / std::sqrt(1.0 + static_cast<double>(j % 4)) : 1.0;
+  }
+  return updates;
+}
+
+TEST(SubFedAvgAggregate, MatchesThePerElementLoopBitForBit) {
+  Rng rng(5);
+  const StateDict prev = ModelSpec::lenet5(10).build_init(rng).state();
+  for (const std::size_t count : {1u, 4u, 20u}) {
+    for (const bool stale : {false, true}) {
+      const std::vector<ClientUpdate> updates = random_updates(count, stale, 100 + count);
+      const std::string what =
+          std::to_string(count) + " updates, " + (stale ? "staleness" : "unit") + " weights";
+      expect_same_bits(sub_fedavg_aggregate(updates, prev),
+                       reference_masked_aggregate(updates, prev, /*strict=*/false),
+                       "counting, " + what);
+      expect_same_bits(sub_fedavg_aggregate_strict(updates, prev),
+                       reference_masked_aggregate(updates, prev, /*strict=*/true),
+                       "strict, " + what);
+    }
+  }
+  // Positions every mask drops inherit the previous global.
+  const std::vector<ClientUpdate> updates = random_updates(4, false, 9);
+  const StateDict out = sub_fedavg_aggregate(updates, prev);
+  for (std::size_t i = 0; i < 32; ++i) {
+    EXPECT_EQ((*out.find("fc1.weight"))[i], (*prev.find("fc1.weight"))[i]);
+  }
+}
+
+TEST(SubFedAvgAggregate, RejectsAMaskShorterThanItsEntry) {
+  const StateDict prev = state_of({0, 0, 0});
+  std::vector<ClientUpdate> updates;
+  updates.push_back({state_of({1, 2, 3}), mask_of({1, 1}), 1});
+  EXPECT_THROW(sub_fedavg_aggregate(updates, prev), CheckError);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "comm/channel.h"
 #include "comm/serialize.h"
@@ -14,6 +15,8 @@
 #include "fl/sweep.h"
 #include "nn/model_zoo.h"
 #include "pruning/unstructured.h"
+#include "serve/session.h"
+#include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -291,6 +294,41 @@ TEST(TransportEquivalence, SubprocessMatchesLoopbackExactly) {
   EXPECT_EQ(loopback.result.up_bytes, subprocess.result.up_bytes);
   EXPECT_EQ(loopback.result.down_bytes, subprocess.result.down_bytes);
   EXPECT_EQ(loopback.result.simulated_seconds, subprocess.result.simulated_seconds);
+}
+
+TEST(TransportEquivalence, SideBandStateReEvaluatesExactlyTheSampledClients) {
+  // A subprocess round trains a forked copy of each client; the parent
+  // stores the side-band sections it sends back (exchange.state), and that
+  // write alone must mark the client for re-evaluation.
+  struct Cohort final : RoundObserver {
+    void on_round_begin(std::size_t /*round*/, std::span<const std::size_t> sampled) override {
+      clients.assign(sampled.begin(), sampled.end());
+    }
+    std::vector<std::size_t> clients;
+  };
+  const telemetry::Level level = telemetry::level();
+  telemetry::set_level(telemetry::Level::kCounters);
+  telemetry::Counter& evaluated = telemetry::counter("eval.clients_evaluated");
+  for (const char* algo : {"subfedavg_hy", "standalone"}) {
+    ExperimentSpec spec = small_spec(algo);
+    spec.transport = "subprocess";
+    spec.channel_workers = 2;
+    auto session = FederationSession::from_spec(spec);
+    FederatedAlgorithm& algorithm = session->algorithm();
+    session->evaluate();
+    Cohort cohort;
+    for (std::size_t round = 1; round <= 2; ++round) {
+      ASSERT_TRUE(session->advance_round(&cohort)) << algo;
+      const std::uint64_t before = evaluated.value();
+      const std::vector<double> acc = algorithm.all_test_accuracies();
+      const std::set<std::size_t> distinct(cohort.clients.begin(), cohort.clients.end());
+      EXPECT_EQ(evaluated.value() - before, distinct.size()) << algo << " round " << round;
+      for (std::size_t k = 0; k < acc.size(); ++k) {
+        EXPECT_EQ(acc[k], algorithm.client_test_accuracy(k)) << algo << " client " << k;
+      }
+    }
+  }
+  telemetry::set_level(level);
 }
 
 TEST(TransportEquivalence, QuantizedRunsStayNearBaselineAccuracy) {

@@ -1,5 +1,5 @@
 // Engineering micro-benchmarks (google-benchmark): GEMM/conv throughput per
-// device (naive vs blocked vs sparse at several mask densities), one conv,
+// device (naive vs blocked, dense and with masked weights), one conv,
 // BatchNorm or Linear layer's training step and one conv layer's eval
 // forward at model-zoo shapes, mask operations, and the two aggregation
 // rules (the DESIGN.md §4.2 counting-vs-strict-intersection ablation at the
@@ -26,10 +26,10 @@
 namespace subfed {
 namespace {
 
-const char* const kBackendNames[] = {"naive", "blocked", "sparse"};
+const char* const kBackendNames[] = {"naive", "blocked"};
 
 /// A [n×n] matrix with `density_pct`% nonzeros — pruning masks make weights
-/// exact zeros, which is what the sparse device keys on.
+/// exact zeros.
 std::vector<float> masked_matrix(Rng& rng, std::size_t size, int density_pct) {
   std::vector<float> out(size);
   for (auto& x : out) {
@@ -53,9 +53,7 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
 
 /// args: {size, device index, weight density %}. items/sec is dense-equiv
-/// FLOPs, so "sparse at 20%" reads directly against "blocked at 100%". The
-/// operand carries no weight-side hint, so the sparse device inspects its
-/// density on every call.
+/// FLOPs, so "blocked at 20%" reads directly against "blocked at 100%".
 void BM_GemmBackend(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Device& device = get_device(kBackendNames[state.range(1)]);
@@ -75,16 +73,11 @@ BENCHMARK(BM_GemmBackend)
     // Dense: the naive→blocked headline (acceptance: blocked ≥ 3× at 128³).
     ->Args({128, 0, 100})
     ->Args({128, 1, 100})
-    ->Args({128, 2, 100})
     ->Args({256, 0, 100})
     ->Args({256, 1, 100})
-    // Masked weights: dense blocked vs sparse CSR across the pruning range.
+    // Masked weights: the blocked kernels do every multiply-add regardless.
     ->Args({128, 1, 20})
-    ->Args({128, 2, 20})
-    ->Args({128, 2, 10})
-    ->Args({128, 2, 5})
-    ->Args({256, 1, 10})
-    ->Args({256, 2, 10});
+    ->Args({256, 1, 10});
 
 void BM_LeNetForward(benchmark::State& state) {
   Rng rng(2);
@@ -99,8 +92,8 @@ void BM_LeNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LeNetForward);
 
-/// args: {device index, weight density %} — whole-model forward through the
-/// batched-im2col conv path on each device.
+/// args: {device index, weight density %} — whole-model forward on each
+/// device.
 void BM_ConvForwardBackend(benchmark::State& state) {
   Rng rng(2);
   ModelSpec spec = ModelSpec::lenet5(10);
@@ -128,9 +121,7 @@ void BM_ConvForwardBackend(benchmark::State& state) {
 BENCHMARK(BM_ConvForwardBackend)
     ->Args({0, 100})
     ->Args({1, 100})
-    ->Args({2, 100})
-    ->Args({1, 15})
-    ->Args({2, 15});
+    ->Args({1, 15});
 
 /// One conv layer as a pruned client trains it: 5×5 kernel.
 struct ConvLayerCase {

@@ -56,7 +56,7 @@ const Field kFields[] = {
     SUBFED_UINT_FIELD(shard, "shard size; 0 = dataset's paper value"),
     SUBFED_UINT_FIELD(test_per_class, "test pool size per class"),
     SUBFED_STRING_FIELD(model, "auto | cnn5 | lenet5 | cnn_deep"),
-    SUBFED_STRING_FIELD(backend, "compute device: auto | naive | blocked | sparse"),
+    SUBFED_STRING_FIELD(backend, "compute device: auto | naive | blocked"),
     SUBFED_UINT_FIELD(math_threads, "GEMM row-panel cap; 0 = process setting"),
     SUBFED_STRING_FIELD(transport, "channel transport: memory | loopback | subprocess | tcp"),
     SUBFED_STRING_FIELD(codec, "uplink codec: sparse | delta"),
@@ -260,6 +260,14 @@ std::string ExperimentSpec::help_text() {
 }
 
 void ExperimentSpec::validate() const {
+  if (backend != "auto" && !has_device(backend)) {
+    std::string known = "auto";
+    for (const std::string& name : list_devices()) known += " | " + name;
+    SUBFEDAVG_CHECK(false, "unknown backend '" << backend << "' (" << known << ")");
+  }
+  // "auto" resolves SUBFEDAVG_BACKEND lazily — force it here so a bad env
+  // value fails before training instead of deep inside the first forward.
+  if (backend == "auto") default_device();
   SUBFEDAVG_CHECK(has_channel_transport(transport),
                   "unknown transport '" << transport
                                         << "' (memory | loopback | subprocess | tcp)");
@@ -367,14 +375,11 @@ ModelSpec ExperimentSpec::model_spec() const {
 }
 
 FlContext ExperimentSpec::make_context(const FederatedData& data) const {
-  if (backend != "auto" && !has_device(backend)) {
-    std::string known = "auto";
-    for (const std::string& name : list_devices()) known += " | " + name;
-    SUBFEDAVG_CHECK(false, "unknown backend '" << backend << "' (" << known << ")");
-  }
-  // "auto" resolves SUBFEDAVG_BACKEND lazily — force it here so a bad env
-  // value fails before training instead of deep inside the first forward.
-  if (backend == "auto") default_device();
+  // Device, channel and role misconfigurations (an unknown backend or
+  // transport, a lossy codec over the memory fast path, tcp without a listen
+  // address) are caught here, before training — and by execute_experiment
+  // even before data synthesis.
+  validate();
   FlContext ctx;
   ctx.data = &data;
   ctx.spec = model_spec();
@@ -386,10 +391,6 @@ FlContext ExperimentSpec::make_context(const FederatedData& data) const {
   ctx.corrupt_fraction = corrupt_fraction;
   ctx.corrupt_noise = corrupt_noise;
   ctx.robust_filter = robust_filter;
-  // Channel misconfigurations (unknown transport, lossy codec over the
-  // memory fast path, tcp without a listen address) are caught here, before
-  // training — and by execute_experiment even before data synthesis.
-  validate();
   ctx.transport = transport;
   ctx.codec = codec;
   ctx.quantize = quantize;

@@ -46,7 +46,7 @@ struct ExperimentSpec {
   // Model.
   std::string model = "auto";        ///< auto | cnn5 | lenet5 | cnn_deep
   // Compute (tensor/device.h).
-  std::string backend = "auto";      ///< auto | naive | blocked | sparse
+  std::string backend = "auto";      ///< auto | naive | blocked
   std::size_t math_threads = 0;      ///< GEMM row-panel cap; 0 → process setting
   // Communication (comm/channel.h, comm/transport.h, comm/round_time.h).
   std::string transport = "memory";  ///< memory | loopback | subprocess | tcp
@@ -148,11 +148,11 @@ struct ExperimentSpec {
   /// Flag reference plus the registered algorithm names.
   static std::string help_text();
 
-  /// Validates everything that needs no data — transport/codec/aggregation
-  /// names, the tcp listen/connect rules — so misconfigurations fail at
-  /// spec-parse time with actionable messages, before any dataset synthesis
-  /// or training. Called by make_context and execute_experiment; throws
-  /// CheckError.
+  /// Validates everything that needs no data — device, transport, codec and
+  /// aggregation names, the tcp listen/connect rules — so misconfigurations
+  /// fail at spec-parse time with actionable messages, before any dataset
+  /// synthesis or training. Called by make_context and
+  /// FederationSession::from_spec; throws CheckError.
   void validate() const;
 
   // -- runtime pieces ------------------------------------------------------

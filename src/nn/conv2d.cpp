@@ -123,7 +123,7 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   } else {
     const WorkspaceLease columns = unroll(dev, input, g, inputs);
     dev.gemm(GemmOp::kNN, w_live.data(), columns.data(), gemm_out.data(), m, k, cols,
-             /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch);
+             /*accumulate=*/false);
   }
 
   // Regroup [m, N·spatial] → [N, oc, spatial] and add the bias. A dead output
@@ -188,7 +188,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
   // dW[live rows, live inputs] += dY · patchesᵀ. The live block is computed
   // whole, then added into the gradient — the same single rounding as the
-  // full GEMM's accumulate store. Neither operand is a weight.
+  // full GEMM's accumulate store.
   WorkspaceLease grad_w = dev.lease(m * kf);
   if (dev.direct_conv(g)) {
     dev.conv_weight_grad(grad_packed.data(), m, input.data(), batch, g, inputs,
@@ -224,7 +224,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   gather_blocks(w, patch, rows, read, k2, w_live.data());
   WorkspaceLease grad_columns = dev.lease(kx * cols);
   dev.gemm(GemmOp::kTN, w_live.data(), grad_packed.data(), grad_columns.data(), kx, m, cols,
-           /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch);
+           /*accumulate=*/false);
   Tensor grad_input(input.shape());
   const ConvGeometry one_plane{1, g.in_h, g.in_w, kernel_, stride_, pad_};
   for (std::size_t n = 0; n < batch; ++n) {

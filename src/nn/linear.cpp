@@ -32,8 +32,7 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   Tensor output({batch, out_features_});
   // y[N, out] = x[N, in] · Wᵀ
   device().gemm(GemmOp::kNT, input.data(), weight_.value.data(), output.data(), batch,
-                in_features_, out_features_, /*accumulate=*/false, WeightSide::kB,
-                weight_.uid, weight_.mask_epoch);
+                in_features_, out_features_, /*accumulate=*/false);
   for (std::size_t n = 0; n < batch; ++n) {
     float* row = output.data() + n * out_features_;
     for (std::size_t o = 0; o < out_features_; ++o) row[o] += bias_.value[o];
@@ -48,7 +47,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
                   "grad_output shape " << grad_output.shape().to_string());
 
   // dW[out, in] += dYᵀ[out, N] · x[N, in], accumulated straight into the
-  // gradient — no per-batch dw temporary. Neither operand is a weight.
+  // gradient — no per-batch dw temporary.
   device().gemm(GemmOp::kTN, grad_output.data(), cached_input_.data(), weight_.grad.data(),
                 out_features_, batch, in_features_, /*accumulate=*/true);
 
@@ -61,8 +60,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   // dX[N, in] = dY[N, out] · W[out, in]
   Tensor grad_input({batch, in_features_});
   device().gemm(GemmOp::kNN, grad_output.data(), weight_.value.data(), grad_input.data(),
-                batch, out_features_, in_features_, /*accumulate=*/false, WeightSide::kB,
-                weight_.uid, weight_.mask_epoch);
+                batch, out_features_, in_features_, /*accumulate=*/false);
   return grad_input;
 }
 

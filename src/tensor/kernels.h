@@ -1,6 +1,6 @@
 // The kernel layer: register-tiled dense panels, direct stride-1
-// convolution, CSR sparse panels and the row-chunk runner. Stateless apart
-// from the process-wide knobs in tensor/backend.h.
+// convolution and the row-chunk runner. Stateless apart from the
+// process-wide knob in tensor/backend.h.
 //
 // The compute stack has two layers:
 //
@@ -9,10 +9,9 @@
 //                       rows, and the runner that spreads row chunks over the
 //                       thread pool (tensor/gemm.h holds the naive reference
 //                       loops and im2col/col2im)
-//   tensor/device.h   — storage-owning devices (naive | blocked | sparse):
-//                       each dispatches straight to its kernels, plans the
-//                       fan-out, caches sparse-vs-dense decisions per weight,
-//                       and pools workspace
+//   tensor/device.h   — storage-owning devices (naive | blocked): each
+//                       dispatches straight to its kernels, plans the
+//                       fan-out per call, and pools workspace
 //
 // Determinism contract (inherited by every caller): each output element is
 // one ascending-k accumulation chain regardless of how row panels are
@@ -26,8 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "tensor/gemm.h"
 #include "util/thread_pool.h"
@@ -48,9 +45,8 @@ bool handle_trivial(float* c, std::size_t m, std::size_t k, std::size_t n,
                     bool accumulate) noexcept;
 
 /// Row panels a GEMM of `flops` total work over `m` rows may fan out to,
-/// given the current math-thread cap and pool size. Pure with respect to the
-/// call site (no calling-thread inspection), so Device plans may cache it;
-/// run_row_chunks re-checks the in-pool condition at execution time.
+/// given the current math-thread cap and pool size. It does not inspect the
+/// calling thread: run_row_chunks checks the in-pool condition when it runs.
 std::size_t plan_chunks(std::size_t m, std::size_t flops) noexcept;
 
 /// Runs fn(i_begin, i_end) over [0, m) split into `chunks` kMr-aligned
@@ -114,34 +110,6 @@ void conv_panel_forward(const float* w, const float* planes, const ConvGeometry&
 /// kMaxDirectKernel.
 void conv_panel_weight_grad(const float* dy, const float* planes, const ConvGeometry& g,
                             std::size_t batch, float* dw, std::size_t i0, std::size_t i1);
-
-// --- sparse kernels ----------------------------------------------------------
-
-/// Fraction of nonzero entries in `data` (1.0 for empty inputs).
-double density(const float* data, std::size_t size) noexcept;
-
-/// CSR of a row-major [rows×cols] matrix; entries keep ascending column order.
-struct Csr {
-  std::vector<std::uint32_t> row_begin;  // rows+1 offsets
-  std::vector<std::uint32_t> col;
-  std::vector<float> val;
-
-  static Csr pack(const float* data, std::size_t rows, std::size_t cols);
-  /// CSR of the TRANSPOSE of a row-major [rows×cols] matrix (i.e. CSC):
-  /// entry lists per column, ascending row order.
-  static Csr pack_transposed(const float* data, std::size_t rows, std::size_t cols);
-};
-
-/// c[i,:] (+)= Σ_nonzeros(i) val · b[col,:] for rows [i0, i1) — the shared
-/// nn/tn inner loop once the sparse operand is in "per output row" CSR form.
-void sparse_axpy_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
-                       const float* val, const float* b, float* c, std::size_t n,
-                       std::size_t i0, std::size_t i1, bool accumulate);
-
-/// c[i,j] (+)= sparse dot of dense A row i with CSR row j of B (stored [n×k]).
-void sparse_dot_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
-                      const float* val, const float* a, float* c, std::size_t k,
-                      std::size_t n, std::size_t i0, std::size_t i1, bool accumulate);
 
 }  // namespace kern
 }  // namespace subfed

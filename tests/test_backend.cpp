@@ -1,13 +1,12 @@
 // Cross-device equivalence and determinism.
 //
-// The naive device (the seed's reference kernels) is the oracle: blocked and
-// sparse must match it on every GEMM variant over odd/rectangular shapes,
-// zero-dimension edges, and pruning-masked (mostly-zero) operands. Devices
-// may differ from the oracle by floating-point contraction only, so
-// comparisons use a tight relative tolerance; a FIXED device across
-// different math_threads values must be bit-identical — threading never
-// reorders any output element's accumulation. Operands carry no weight-side
-// hint here, so the sparse device runs its stateless per-call inspection.
+// The naive device (the seed's reference kernels) is the oracle: blocked
+// must match it on every GEMM variant over odd/rectangular shapes,
+// zero-dimension edges, and pruning-masked (mostly-zero) operands. The two
+// may differ by floating-point contraction only, so comparisons use a tight
+// relative tolerance; a FIXED device across different math_threads values
+// must be bit-identical — threading never reorders any output element's
+// accumulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -82,6 +81,7 @@ std::vector<float> run_variant(const Device& device, int variant,
 
 void compare_backends_over(double density) {
   const Device& naive = get_device("naive");
+  const Device& blocked = get_device("blocked");
   Rng rng(density < 1.0 ? 7 : 3);
   for (const GemmCase& shape : kShapes) {
     for (int variant = 0; variant < 3; ++variant) {
@@ -91,16 +91,11 @@ void compare_backends_over(double density) {
       std::vector<float> a = random_matrix(rng, a_size, variant == 2 ? 1.0 : density);
       std::vector<float> b = random_matrix(rng, b_size, variant == 2 ? density : 1.0);
       for (const bool accumulate : {false, true}) {
-        const std::vector<float> want = run_variant(naive, variant, a, b, shape, accumulate);
-        for (const char* name : {"blocked", "sparse"}) {
-          const std::vector<float> got =
-              run_variant(get_device(name), variant, a, b, shape, accumulate);
-          expect_close(want, got,
-                       std::string(name) + " variant " + std::to_string(variant) + " " +
-                           std::to_string(shape.m) + "x" + std::to_string(shape.k) + "x" +
-                           std::to_string(shape.n) + (accumulate ? " acc" : "") +
-                           " density " + std::to_string(density));
-        }
+        expect_close(run_variant(naive, variant, a, b, shape, accumulate),
+                     run_variant(blocked, variant, a, b, shape, accumulate),
+                     "variant " + std::to_string(variant) + " " + std::to_string(shape.m) +
+                         "x" + std::to_string(shape.k) + "x" + std::to_string(shape.n) +
+                         (accumulate ? " acc" : "") + " density " + std::to_string(density));
       }
     }
   }
@@ -108,32 +103,28 @@ void compare_backends_over(double density) {
 
 TEST(BackendEquivalence, DenseOddAndRectangularShapes) { compare_backends_over(1.0); }
 
-// 10% density forces the sparse device through its CSR kernels (threshold
-// 0.25); 30% exercises its dense fallback path.
-TEST(BackendEquivalence, MaskedWeightsSparseAndFallback) {
+// Weight operands as unstructured pruning leaves them: 10% and 30% dense.
+TEST(BackendEquivalence, MaskedWeightOperands) {
   compare_backends_over(0.10);
   compare_backends_over(0.30);
 }
 
-TEST(BackendEquivalence, SparseWeightOnBSideOfNN) {
+TEST(BackendEquivalence, MaskedWeightOnBSideOfNN) {
   // Linear::backward's dX = dY·W puts the pruned matrix on the B side of an
-  // nn GEMM; the sparse device must catch that case too.
-  const Device& naive = get_device("naive");
+  // nn GEMM.
   Rng rng(13);
   const GemmCase shape{10, 120, 400};
   const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 1.0);
   const std::vector<float> b = random_matrix(rng, shape.k * shape.n, 0.1);
   for (const bool accumulate : {false, true}) {
-    const std::vector<float> want = run_variant(naive, 0, a, b, shape, accumulate);
-    for (const char* name : {"blocked", "sparse"}) {
-      expect_close(want, run_variant(get_device(name), 0, a, b, shape, accumulate),
-                   std::string(name) + " nn sparse-B" + (accumulate ? " acc" : ""));
-    }
+    expect_close(run_variant(get_device("naive"), 0, a, b, shape, accumulate),
+                 run_variant(get_device("blocked"), 0, a, b, shape, accumulate),
+                 std::string("nn masked-B") + (accumulate ? " acc" : ""));
   }
 }
 
 TEST(BackendEquivalence, ZeroDimensionEdges) {
-  for (const char* name : {"naive", "blocked", "sparse"}) {
+  for (const char* name : {"naive", "blocked"}) {
     const Device& device = get_device(name);
     std::vector<float> a(8, 1.0f), b(8, 1.0f);
     // k == 0: C is zeroed without accumulate, untouched with.
@@ -219,21 +210,18 @@ TEST(BackendDeterminism, MathThreadsNeverChangeGemmBits) {
   // Big enough to clear the parallel-dispatch threshold (2·m·k·n ≥ 2^21).
   const GemmCase shape{256, 96, 64};
   Rng rng(11);
-  for (const char* name : {"blocked", "sparse"}) {
-    const Device& device = get_device(name);
-    for (int variant = 0; variant < 3; ++variant) {
-      const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 0.5);
-      const std::vector<float> b =
-          random_matrix(rng, variant == 2 ? shape.n * shape.k : shape.k * shape.n, 0.5);
-      set_math_threads(1);
-      const std::vector<float> single = run_variant(device, variant, a, b, shape, false);
-      set_math_threads(4);
-      const std::vector<float> pooled = run_variant(device, variant, a, b, shape, false);
-      set_math_threads(0);
-      for (std::size_t i = 0; i < single.size(); ++i) {
-        ASSERT_EQ(single[i], pooled[i])
-            << name << " variant " << variant << " diverges at " << i;
-      }
+  const Device& device = get_device("blocked");
+  for (int variant = 0; variant < 3; ++variant) {
+    const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 0.5);
+    const std::vector<float> b =
+        random_matrix(rng, variant == 2 ? shape.n * shape.k : shape.k * shape.n, 0.5);
+    set_math_threads(1);
+    const std::vector<float> single = run_variant(device, variant, a, b, shape, false);
+    set_math_threads(4);
+    const std::vector<float> pooled = run_variant(device, variant, a, b, shape, false);
+    set_math_threads(0);
+    for (std::size_t i = 0; i < single.size(); ++i) {
+      ASSERT_EQ(single[i], pooled[i]) << "variant " << variant << " diverges at " << i;
     }
   }
 }
@@ -270,8 +258,8 @@ TEST(BackendDeterminism, MathThreadsNeverChangeTrainingBits) {
 
 // --- layer-level equivalence ------------------------------------------------
 
-/// Forward + backward of one conv configuration on every device; outputs,
-/// parameter gradients and input gradients must agree with naive.
+/// Forward + backward of one conv configuration on both devices; blocked's
+/// outputs, parameter gradients and input gradients must agree with naive.
 void conv_all_backends(std::size_t in_c, std::size_t out_c, std::size_t hw,
                        std::size_t kernel, std::size_t stride, std::size_t pad,
                        double weight_density) {
@@ -301,25 +289,21 @@ void conv_all_backends(std::size_t in_c, std::size_t out_c, std::size_t hw,
     return pass;
   };
   const Pass want = run("naive");
-  for (const char* name : {"blocked", "sparse"}) {
-    const Pass got = run(name);
-    const std::string label = std::string("conv ") + name;
-    expect_close({want.out.data(), want.out.data() + want.out.numel()},
-                 {got.out.data(), got.out.data() + got.out.numel()}, label + " out");
-    expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
-                 {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()},
-                 label + " grad_in");
-    expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
-                 {got.dw.data(), got.dw.data() + got.dw.numel()}, label + " dw");
-    expect_close({want.db.data(), want.db.data() + want.db.numel()},
-                 {got.db.data(), got.db.data() + got.db.numel()}, label + " db");
-  }
+  const Pass got = run("blocked");
+  expect_close({want.out.data(), want.out.data() + want.out.numel()},
+               {got.out.data(), got.out.data() + got.out.numel()}, "conv out");
+  expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
+               {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()}, "conv grad_in");
+  expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
+               {got.dw.data(), got.dw.data() + got.dw.numel()}, "conv dw");
+  expect_close({want.db.data(), want.db.data() + want.db.numel()},
+               {got.db.data(), got.db.data() + got.db.numel()}, "conv db");
 }
 
 TEST(BackendLayers, ConvAgreesAcrossBackends) {
   conv_all_backends(3, 6, 11, 5, 1, 0, 1.0);   // odd spatial, valid conv
   conv_all_backends(2, 4, 9, 3, 2, 1, 1.0);    // strided + padded
-  conv_all_backends(3, 8, 12, 5, 1, 2, 0.15);  // masked weights → sparse path
+  conv_all_backends(3, 8, 12, 5, 1, 2, 0.15);  // masked weights
 }
 
 TEST(BackendLayers, LinearAgreesAcrossBackends) {
@@ -350,19 +334,17 @@ TEST(BackendLayers, LinearAgreesAcrossBackends) {
   };
   for (const double density : {1.0, 0.1}) {
     const Pass want = run("naive", density);
-    for (const char* name : {"blocked", "sparse"}) {
-      const Pass got = run(name, density);
-      const std::string label = std::string("linear ") + name;
-      expect_close({want.out.data(), want.out.data() + want.out.numel()},
-                   {got.out.data(), got.out.data() + got.out.numel()}, label + " out");
-      expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
-                   {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()},
-                   label + " grad_in");
-      expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
-                   {got.dw.data(), got.dw.data() + got.dw.numel()}, label + " dw");
-      expect_close({want.db.data(), want.db.data() + want.db.numel()},
-                   {got.db.data(), got.db.data() + got.db.numel()}, label + " db");
-    }
+    const Pass got = run("blocked", density);
+    const std::string label = "linear density " + std::to_string(density);
+    expect_close({want.out.data(), want.out.data() + want.out.numel()},
+                 {got.out.data(), got.out.data() + got.out.numel()}, label + " out");
+    expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
+                 {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()},
+                 label + " grad_in");
+    expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
+                 {got.dw.data(), got.dw.data() + got.dw.numel()}, label + " dw");
+    expect_close({want.db.data(), want.db.data() + want.db.numel()},
+                 {got.db.data(), got.db.data() + got.db.numel()}, label + " db");
   }
 }
 
@@ -570,7 +552,6 @@ TEST(ConvDirect, OnlyTheBlockedDeviceRunsStrideOneLayersDirectly) {
   EXPECT_FALSE(get_device("blocked").direct_conv({2, 9, 9, 3, 2, 1}));   // strided
   EXPECT_FALSE(get_device("blocked").direct_conv({1, 20, 20, 9, 1, 0})); // wider than 8
   EXPECT_FALSE(get_device("naive").direct_conv(lenet_conv1));
-  EXPECT_FALSE(get_device("sparse").direct_conv(lenet_conv1));
   std::vector<float> out(6 * 28 * 28);
   const std::vector<float> input(3 * 32 * 32), w(6 * 75);
   EXPECT_THROW(get_device("naive").conv_forward(w.data(), 6, input.data(), 1, lenet_conv1,

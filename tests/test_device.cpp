@@ -1,6 +1,6 @@
-// Device API: registry, execution-plan cache (incl. concurrency and
-// mask-epoch invalidation), workspace leases, and the registered env-knob
-// table (asserted against the README in both directions).
+// Device API: registry, concurrent GEMM callers, workspace leases, and the
+// registered env-knob table (asserted against the README in both
+// directions).
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -17,8 +17,6 @@
 #include <vector>
 
 #include "fl/experiment.h"
-#include "nn/model_zoo.h"
-#include "pruning/unstructured.h"
 #include "tensor/device.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -41,38 +39,34 @@ std::vector<float> naive_nn(const std::vector<float>& a, const std::vector<float
   return c;
 }
 
-void expect_close(const std::vector<float>& want, const float* got, double rel,
-                  const std::string& label) {
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const double tol = rel * (1.0 + std::fabs(want[i]));
-    ASSERT_NEAR(want[i], got[i], tol) << label << " at " << i;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 
 TEST(DeviceRegistry, NamesResolveToSingletonDevices) {
-  for (const char* name : {"naive", "blocked", "sparse"}) {
+  for (const char* name : {"naive", "blocked"}) {
     const Device& device = get_device(name);
     EXPECT_EQ(device.name(), name);
     EXPECT_EQ(&device, &get_device(name));
     EXPECT_TRUE(has_device(name));
   }
   EXPECT_FALSE(has_device("cublas"));
-  EXPECT_EQ(list_devices(), (std::vector<std::string>{"blocked", "naive", "sparse"}));
+  EXPECT_FALSE(has_device("sparse"));
+  EXPECT_EQ(list_devices(), (std::vector<std::string>{"blocked", "naive"}));
   // The process default must be a registered device (SUBFEDAVG_BACKEND may
   // legitimately select any of them).
   EXPECT_EQ(&default_device(), &get_device(default_device().name()));
 }
 
 TEST(DeviceRegistry, UnknownNamesFailListingTheValidOnes) {
-  try {
-    get_device("cublas");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("naive | blocked | sparse"), std::string::npos)
-        << e.what();
+  // "sparse" is a retired device name that old spec files may still carry.
+  for (const char* name : {"cublas", "sparse"}) {
+    try {
+      get_device(name);
+      FAIL() << "expected CheckError for " << name;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("(naive | blocked)"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -89,33 +83,30 @@ TEST(DeviceRegistry, SpecValidationListsTheDevices) {
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("auto | blocked | naive | sparse"), std::string::npos) << what;
+    EXPECT_NE(what.find("(auto | blocked | naive)"), std::string::npos) << what;
   }
 }
 
-// ---------------------------------------------------------------------------
-// Execution-plan cache
-
-TEST(PlanCache, SecondCallOnAShapeIsAHit) {
-  const Device& dev = get_device("blocked");
-  const std::size_t m = 37, k = 53, n = 29;  // unlikely to collide with other tests
-  Rng rng(11);
-  const std::vector<float> a = random_vec(rng, m * k);
-  const std::vector<float> b = random_vec(rng, k * n);
-  std::vector<float> c(m * n);
-
-  const DeviceStats before = dev.stats();
-  dev.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, false);
-  dev.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, false);
-  const DeviceStats after = dev.stats();
-
-  EXPECT_GE(after.plan_misses, before.plan_misses + 1);
-  EXPECT_GE(after.plan_hits, before.plan_hits + 1);
-  EXPECT_GE(after.plan_entries, 1u);
-  expect_close(naive_nn(a, b, m, k, n), c.data(), 1e-4, "plan-cache gemm");
+TEST(DeviceRegistry, UnknownBackendFailsSpecValidationBeforeAnyData) {
+  // validate() is what runs before dataset synthesis, so an unknown device
+  // must fail there rather than once the data is built.
+  ExperimentSpec spec = ExperimentSpec::from_kv("backend=sparse");
+  try {
+    spec.validate();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown backend 'sparse' (auto | blocked | naive)"), std::string::npos)
+        << what;
+  }
+  spec.backend = "naive";
+  EXPECT_NO_THROW(spec.validate());
 }
 
-TEST(PlanCache, ConcurrentCallersShareThePlanSafely) {
+// ---------------------------------------------------------------------------
+// Concurrent callers
+
+TEST(Device, ConcurrentGemmCallersAgree) {
   const Device& dev = get_device("blocked");
   const std::size_t m = 41, k = 67, n = 31;
   Rng rng(12);
@@ -124,7 +115,6 @@ TEST(PlanCache, ConcurrentCallersShareThePlanSafely) {
   const std::vector<float> want = naive_nn(a, b, m, k, n);
 
   constexpr std::size_t kThreads = 8, kCallsPerThread = 50;
-  const DeviceStats before = dev.stats();
   std::vector<std::thread> workers;
   std::vector<int> ok(kThreads, 0);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -141,87 +131,6 @@ TEST(PlanCache, ConcurrentCallersShareThePlanSafely) {
   }
   for (auto& w : workers) w.join();
   for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
-
-  const DeviceStats after = dev.stats();
-  const std::uint64_t calls = kThreads * kCallsPerThread;
-  EXPECT_EQ(after.plan_hits + after.plan_misses, before.plan_hits + before.plan_misses + calls);
-  // All but the racing first resolutions should hit.
-  EXPECT_GE(after.plan_hits, before.plan_hits + calls - kThreads);
-}
-
-TEST(PlanCache, SparseDecisionIsCachedUntilTheMaskEpochMoves) {
-  const Device& dev = get_device("sparse");
-  const std::size_t m = 48, k = 64, n = 24;
-  Rng rng(13);
-  std::vector<float> w(m * k, 0.0f);
-  for (auto& x : w) {
-    if (rng.bernoulli(0.1)) x = static_cast<float>(rng.normal());
-  }
-  const std::vector<float> b = random_vec(rng, k * n);
-  std::vector<float> c(m * n);
-  const std::uint64_t uid = next_parameter_uid();
-
-  const auto scans = [&] { return dev.stats().density_scans; };
-  const std::uint64_t s0 = scans();
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 0);
-  EXPECT_EQ(scans(), s0 + 1);
-  expect_close(naive_nn(w, b, m, k, n), c.data(), 1e-4, "sparse planned gemm");
-
-  // Same weight identity, same epoch: the O(weight) scan is skipped.
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 0);
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 0);
-  EXPECT_EQ(scans(), s0 + 1);
-
-  // A pruning pass bumps the epoch → exactly one rescan.
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 1);
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 1);
-  EXPECT_EQ(scans(), s0 + 2);
-
-  // Anonymous weights (uid 0) keep the legacy inspect-per-call behaviour.
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, 0, 0);
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, 0, 0);
-  EXPECT_EQ(scans(), s0 + 4);
-}
-
-TEST(PlanCache, ParameterIdentityTracksPruningAndStateLoads) {
-  Parameter p("w", Tensor({4, 4}), /*is_prunable=*/true);
-  EXPECT_NE(p.uid, 0u);
-  EXPECT_EQ(p.mask_epoch, 0u);
-
-  // Copies are distinct tensors → fresh uid; assignment keeps identity but
-  // advances the epoch (the incoming values may be masked differently).
-  Parameter q = p;
-  EXPECT_NE(q.uid, p.uid);
-  const std::uint64_t q_uid = q.uid;
-  q = p;
-  EXPECT_EQ(q.uid, q_uid);
-  EXPECT_EQ(q.mask_epoch, 1u);
-
-  // Mask application bumps exactly the masked (prunable) parameters.
-  Rng rng(14);
-  Model model = ModelSpec::cnn5(10).build_init(rng);
-  std::vector<std::uint64_t> before;
-  for (Parameter* param : model.parameters()) before.push_back(param->mask_epoch);
-  ModelMask mask = ModelMask::ones_like(model, MaskScope::kAllPrunable);
-  mask = derive_magnitude_mask(model, mask, 0.5);
-  mask.apply_to_weights(model);
-  std::size_t i = 0, bumped = 0;
-  for (Parameter* param : model.parameters()) {
-    if (param->prunable) {
-      EXPECT_EQ(param->mask_epoch, before[i] + 1) << param->name;
-      ++bumped;
-    } else {
-      EXPECT_EQ(param->mask_epoch, before[i]) << param->name;
-    }
-    ++i;
-  }
-  EXPECT_GT(bumped, 0u);
-
-  // load_state invalidates everything (a loaded global may be pruned).
-  const StateDict snapshot = model.state();
-  const std::uint64_t epoch0 = model.parameters().front()->mask_epoch;
-  model.load_state(snapshot);
-  EXPECT_EQ(model.parameters().front()->mask_epoch, epoch0 + 1);
 }
 
 // ---------------------------------------------------------------------------

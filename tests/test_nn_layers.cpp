@@ -422,8 +422,7 @@ FullWidthConv full_width(Conv2d& conv, const Tensor& x, const Tensor& dy) {
     dev.im2col(x.data() + n * in_plane, g, columns.data(), cols, n * spatial);
   }
   FullWidthConv r;
-  dev.gemm(GemmOp::kNN, w, columns.data(), packed.data(), oc, patch, cols, false,
-           WeightSide::kA, 0, 0);
+  dev.gemm(GemmOp::kNN, w, columns.data(), packed.data(), oc, patch, cols, false);
   r.out = Tensor({batch, oc, g.out_h(), g.out_w()});
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t o = 0; o < oc; ++o) {
@@ -448,8 +447,7 @@ FullWidthConv full_width(Conv2d& conv, const Tensor& x, const Tensor& dy) {
     for (std::size_t s = 0; s < cols; ++s) acc += packed[o * cols + s];
     r.db.data()[o] += acc;
   }
-  dev.gemm(GemmOp::kTN, w, packed.data(), dcols.data(), patch, oc, cols, false,
-           WeightSide::kA, 0, 0);
+  dev.gemm(GemmOp::kTN, w, packed.data(), dcols.data(), patch, oc, cols, false);
   r.dx = Tensor(x.shape());
   for (std::size_t n = 0; n < batch; ++n) {
     dev.col2im(dcols.data(), g, r.dx.data() + n * in_plane, cols, n * spatial);
@@ -608,7 +606,7 @@ TEST(LiveChannels, ConvMatchesFullWidthAndNarrowedLayersBitwise) {
       {"pruned and dead mixed", {1, 2, 30}, {3}, {3, 5}},
   };
   for (const LiveCase& lc : cases) {
-    for (const char* backend : {"blocked", "sparse", "naive"}) {
+    for (const char* backend : {"blocked", "naive"}) {
       for (std::size_t threads : {1, 4}) check_live_channels(lc, backend, threads);
     }
   }

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
-#include "comm/quantize.h"
-#include "comm/serialize.h"
 #include "fl/robust.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
@@ -18,155 +15,34 @@ namespace subfed {
 namespace {
 
 constexpr std::uint32_t kEnvelopeMagic = 0x53464556;  // "SFEV"
-constexpr std::uint32_t kQuantMagic = 0x53465150;     // "SFQP"
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  put_u32(out, bits);
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated message");
-    return bytes_[pos_++];
-  }
-
-  std::uint16_t u16() {
-    SUBFEDAVG_CHECK(pos_ + 2 <= bytes_.size(), "truncated message");
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated message");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = u32();
-    v |= static_cast<std::uint64_t>(u32()) << 32;
-    return v;
-  }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
-  }
-
-  std::string str(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated message");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::span<const std::uint8_t> raw(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated message");
-    std::span<const std::uint8_t> s = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-/// Writes the kept values of one tensor at the codec's precision.
-void put_values(std::vector<std::uint8_t>& out, const Tensor& tensor, const Tensor* mask,
-                QuantCodec quantize) {
-  if (quantize == QuantCodec::kFp16) {
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if (mask == nullptr || (*mask)[i] != 0.0f) {
-        const std::uint16_t half = fp32_to_fp16(tensor[i]);
-        out.push_back(static_cast<std::uint8_t>(half & 0xFF));
-        out.push_back(static_cast<std::uint8_t>(half >> 8));
-      }
-    }
-    return;
-  }
-  // kInt8: per-tensor affine over the transmitted values, scale first.
-  float peak = 0.0f;
-  for (std::size_t i = 0; i < tensor.numel(); ++i) {
-    if (mask == nullptr || (*mask)[i] != 0.0f) {
-      peak = std::max(peak, std::fabs(tensor[i]));
-    }
-  }
-  const float scale = peak > 0.0f ? peak / 127.0f : 1.0f;
-  put_f32(out, scale);
-  for (std::size_t i = 0; i < tensor.numel(); ++i) {
-    if (mask == nullptr || (*mask)[i] != 0.0f) {
-      const float q = std::round(tensor[i] / scale);
-      const auto clamped = static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
-      out.push_back(static_cast<std::uint8_t>(clamped));
-    }
-  }
-}
 
 }  // namespace
-
-QuantCodec parse_quant_codec(const std::string& name) {
-  if (name == "none") return QuantCodec::kNone;
-  if (name == "fp16") return QuantCodec::kFp16;
-  if (name == "int8") return QuantCodec::kInt8;
-  SUBFEDAVG_CHECK(false, "unknown quantize codec '" << name << "' (none | fp16 | int8)");
-  return QuantCodec::kNone;
-}
-
-std::string quant_codec_name(QuantCodec codec) {
-  switch (codec) {
-    case QuantCodec::kNone: return "none";
-    case QuantCodec::kFp16: return "fp16";
-    case QuantCodec::kInt8: return "int8";
-  }
-  return "none";
-}
 
 // ---------------------------------------------------------------------------
 // Envelopes
 
 std::vector<std::uint8_t> encode_envelope(const Envelope& envelope) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kEnvelopeMagic);
-  out.push_back(static_cast<std::uint8_t>(envelope.kind));
-  out.push_back(static_cast<std::uint8_t>(envelope.quantize));
-  out.push_back(envelope.delta ? 1 : 0);
-  out.push_back(0);  // reserved
-  put_u32(out, envelope.round);
-  put_u32(out, envelope.client);
-  put_u64(out, envelope.num_examples);
-  put_u32(out, static_cast<std::uint32_t>(envelope.sections.size()));
+  std::size_t size = 28;  // the fixed header
+  for (const std::vector<std::uint8_t>& section : envelope.sections) size += 4 + section.size();
+  wire::Bytes out;
+  out.reserve(size);
+  wire::put_u32(out, kEnvelopeMagic);
+  wire::put_u8(out, static_cast<std::uint8_t>(envelope.kind));
+  wire::put_u8(out, static_cast<std::uint8_t>(envelope.quantize));
+  wire::put_u8(out, envelope.delta ? 1 : 0);
+  wire::put_u8(out, 0);  // reserved
+  wire::put_u32(out, envelope.round);
+  wire::put_u32(out, envelope.client);
+  wire::put_u64(out, envelope.num_examples);
+  wire::put_u32(out, static_cast<std::uint32_t>(envelope.sections.size()));
   for (const std::vector<std::uint8_t>& section : envelope.sections) {
-    put_u32(out, static_cast<std::uint32_t>(section.size()));
-    out.insert(out.end(), section.begin(), section.end());
+    wire::put_blob(out, section);
   }
   return out;
 }
 
 Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
+  wire::Reader reader(bytes, "envelope");
   SUBFEDAVG_CHECK(reader.u32() == kEnvelopeMagic, "bad envelope magic");
   Envelope envelope;
   const std::uint8_t kind = reader.u8();
@@ -183,146 +59,14 @@ Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
   envelope.round = reader.u32();
   envelope.client = reader.u32();
   envelope.num_examples = reader.u64();
-  const std::uint32_t sections = reader.u32();
-  // Each section carries at least its 4-byte length.
-  SUBFEDAVG_CHECK(sections <= reader.remaining() / 4, "truncated message");
+  const std::uint32_t sections = reader.count(4);  // each carries its length
   envelope.sections.reserve(sections);
   for (std::uint32_t s = 0; s < sections; ++s) {
-    const std::uint32_t size = reader.u32();
-    const std::span<const std::uint8_t> raw = reader.raw(size);
-    envelope.sections.emplace_back(raw.begin(), raw.end());
+    const std::span<const std::uint8_t> section = reader.blob();
+    envelope.sections.emplace_back(section.begin(), section.end());
   }
-  SUBFEDAVG_CHECK(reader.done(), "trailing bytes in envelope");
+  reader.finish();
   return envelope;
-}
-
-// ---------------------------------------------------------------------------
-// Payload codec
-
-namespace {
-
-std::vector<std::uint8_t> encode_payload_impl(const StateDict& state, const ModelMask* mask,
-                                              QuantCodec quantize) {
-  if (quantize == QuantCodec::kNone) return encode_update(state, mask);
-
-  std::vector<std::uint8_t> out;
-  put_u32(out, kQuantMagic);
-  out.push_back(static_cast<std::uint8_t>(quantize));
-  put_u32(out, static_cast<std::uint32_t>(state.size()));
-  for (const auto& [name, tensor] : state) {
-    put_u32(out, static_cast<std::uint32_t>(name.size()));
-    out.insert(out.end(), name.begin(), name.end());
-    put_u32(out, static_cast<std::uint32_t>(tensor.shape().rank()));
-    for (const std::size_t d : tensor.shape().dims()) {
-      put_u32(out, static_cast<std::uint32_t>(d));
-    }
-    const Tensor* m = mask != nullptr ? mask->find(name) : nullptr;
-    out.push_back(m != nullptr ? 1 : 0);
-    if (m != nullptr) {
-      SUBFEDAVG_CHECK(m->shape() == tensor.shape(), "mask shape for " << name);
-      std::uint8_t byte = 0;
-      int bit = 0;
-      for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        if ((*m)[i] != 0.0f) byte |= static_cast<std::uint8_t>(1 << bit);
-        if (++bit == 8) {
-          out.push_back(byte);
-          byte = 0;
-          bit = 0;
-        }
-      }
-      if (bit != 0) out.push_back(byte);
-    }
-    put_values(out, tensor, m, quantize);
-  }
-  return out;
-}
-
-StateDict decode_payload_impl(std::span<const std::uint8_t> bytes, ModelMask* mask_out) {
-  SUBFEDAVG_CHECK(bytes.size() >= 4, "truncated payload");
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  if (magic != kQuantMagic) return decode_update(bytes, mask_out);
-
-  Reader reader(bytes);
-  reader.u32();  // magic
-  const std::uint8_t quant_tag = reader.u8();
-  SUBFEDAVG_CHECK(quant_tag == static_cast<std::uint8_t>(QuantCodec::kFp16) ||
-                      quant_tag == static_cast<std::uint8_t>(QuantCodec::kInt8),
-                  "bad payload quant tag " << int{quant_tag});
-  const QuantCodec quantize = static_cast<QuantCodec>(quant_tag);
-  const std::uint32_t entries = reader.u32();
-
-  StateDict state;
-  for (std::uint32_t e = 0; e < entries; ++e) {
-    const std::uint32_t name_len = reader.u32();
-    std::string name = reader.str(name_len);
-    const std::uint32_t rank = reader.u32();
-    SUBFEDAVG_CHECK(rank <= reader.remaining() / 4, "truncated message");
-    std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
-    check_wire_shape(dims, reader.remaining());
-    Tensor tensor{Shape(dims)};
-
-    const bool masked = reader.u8() != 0;
-    std::vector<bool> keep;
-    if (masked) {
-      keep.assign(tensor.numel(), false);
-      for (std::size_t i = 0; i < tensor.numel(); i += 8) {
-        const std::uint8_t byte = reader.u8();
-        for (int b = 0; b < 8 && i + b < tensor.numel(); ++b) {
-          keep[i + b] = (byte >> b) & 1;
-        }
-      }
-    }
-    const float scale = quantize == QuantCodec::kInt8 ? reader.f32() : 1.0f;
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if (masked && !keep[i]) continue;
-      if (quantize == QuantCodec::kFp16) {
-        tensor[i] = fp16_to_fp32(reader.u16());
-      } else {
-        tensor[i] = static_cast<float>(static_cast<std::int8_t>(reader.u8())) * scale;
-      }
-    }
-    if (masked && mask_out != nullptr) {
-      Tensor bits{tensor.shape()};
-      for (std::size_t i = 0; i < bits.numel(); ++i) bits[i] = keep[i] ? 1.0f : 0.0f;
-      mask_out->set(name, std::move(bits));
-    }
-    state.add(std::move(name), std::move(tensor));
-  }
-  SUBFEDAVG_CHECK(reader.done(), "trailing bytes in payload");
-  return state;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_payload(const StateDict& state, const ModelMask* mask,
-                                         QuantCodec quantize) {
-  const telemetry::StopWatch watch;
-  std::vector<std::uint8_t> out = encode_payload_impl(state, mask, quantize);
-  if (watch.armed()) {
-    static telemetry::Counter& encodes = telemetry::counter("codec.encodes");
-    static telemetry::Counter& bytes = telemetry::counter("codec.encoded_bytes");
-    static telemetry::Timer& time = telemetry::timer("codec.encode_seconds");
-    encodes.add();
-    bytes.add(out.size());
-    time.add_seconds(watch.seconds());
-  }
-  return out;
-}
-
-StateDict decode_payload(std::span<const std::uint8_t> bytes, ModelMask* mask_out) {
-  const telemetry::StopWatch watch;
-  StateDict state = decode_payload_impl(bytes, mask_out);
-  if (watch.armed()) {
-    static telemetry::Counter& decodes = telemetry::counter("codec.decodes");
-    static telemetry::Counter& decoded = telemetry::counter("codec.decoded_bytes");
-    static telemetry::Timer& time = telemetry::timer("codec.decode_seconds");
-    decodes.add();
-    decoded.add(bytes.size());
-    time.add_seconds(watch.seconds());
-  }
-  return state;
 }
 
 namespace {
@@ -556,12 +300,11 @@ std::vector<Exchange> Channel::run_in_memory(std::size_t round,
   const telemetry::StopWatch exchange_watch;
   ThreadPool::global().parallel_for(jobs.size(), [&](std::size_t i) {
     const ClientJob& job = jobs[i];
-    down_bytes[i] = job.payload_copies * payload_bytes(*job.broadcast, job.mask);
+    down_bytes[i] = payload_bytes(*job.broadcast, job.mask);
     ClientResult result = client_fn(job, *job.broadcast, /*detached=*/false);
     const ModelMask* mask = result.update.mask.empty() ? nullptr : &result.update.mask;
-    up_bytes[i] = result.payload_copies * payload_bytes(result.update.state, mask);
-    dense_scalars[i] = job.payload_copies * job.broadcast->numel() +
-                       result.payload_copies * result.update.state.numel();
+    up_bytes[i] = payload_bytes(result.update.state, mask);
+    dense_scalars[i] = job.broadcast->numel() + result.update.state.numel();
     exchanges[i].client = job.client;
     exchanges[i].update = std::move(result.update);
     exchanges[i].state = std::move(result.state);

@@ -63,6 +63,7 @@
 
 #include "comm/ledger.h"
 #include "comm/round_time.h"
+#include "comm/serialize.h"
 #include "comm/transport.h"
 #include "core/aggregate.h"
 #include "nn/parameter.h"
@@ -71,13 +72,7 @@
 namespace subfed {
 
 // ---------------------------------------------------------------------------
-// Codec configuration
-
-enum class QuantCodec : std::uint8_t { kNone = 0, kFp16 = 1, kInt8 = 2 };
-
-/// Parses "none" | "fp16" | "int8" (throws CheckError otherwise).
-QuantCodec parse_quant_codec(const std::string& name);
-std::string quant_codec_name(QuantCodec codec);
+// Codec configuration (QuantCodec and the payload codec are comm/serialize.h's)
 
 struct ChannelConfig {
   std::string transport = "memory";  ///< memory | loopback | subprocess | tcp
@@ -121,18 +116,7 @@ std::vector<std::uint8_t> encode_envelope(const Envelope& envelope);
 Envelope decode_envelope(std::span<const std::uint8_t> bytes);
 
 // ---------------------------------------------------------------------------
-// Payload codec (sparse × quantize)
-
-/// Encodes `state` (mask-aware) at the codec's precision. kNone produces
-/// exactly comm/serialize.h's wire format (bit-exact round-trip); fp16/int8
-/// write the same structure with reduced-precision kept values.
-std::vector<std::uint8_t> encode_payload(const StateDict& state, const ModelMask* mask,
-                                         QuantCodec quantize);
-
-/// Inverse of encode_payload (dispatches on the format magic). Masked-out
-/// positions decode as exact zeros; `mask_out`, when non-null, receives the
-/// reconstructed keep bitmaps of covered entries.
-StateDict decode_payload(std::span<const std::uint8_t> bytes, ModelMask* mask_out = nullptr);
+// Delta codec
 
 /// Subtracts `reference` from `state` in place — kept positions of covered
 /// entries, every position of uncovered ones. Entries absent from `reference`
@@ -148,11 +132,6 @@ struct ClientJob {
   std::size_t client = 0;
   const StateDict* broadcast = nullptr;  ///< server payload down (required)
   const ModelMask* mask = nullptr;       ///< limits the broadcast to kept entries
-  /// Memory-path byte multiplier for protocols whose wire payload is N
-  /// identical model-sized sections (MTL's dual state): the fast path charges
-  /// N × payload_bytes without building the copies. Materializing transports
-  /// ignore it — hand them a broadcast that already contains the copies.
-  std::size_t payload_copies = 1;
   /// Side-band client state shipped DOWN with the broadcast (uncharged). Fill
   /// only when Channel::ships_client_state() — remote workers hold no client
   /// mirrors, so each exchange carries everything the client needs in.
@@ -164,7 +143,6 @@ struct ClientResult {
   ClientUpdate update;            ///< uplink payload (mask optional)
   std::vector<StateDict> state;   ///< side-band client-state mirror; fill only
                                   ///< when the job says `detached`
-  std::size_t payload_copies = 1; ///< uplink twin of ClientJob::payload_copies
 };
 
 /// The server-side view of one completed exchange. Synchronous rounds yield
@@ -310,9 +288,8 @@ class Channel {
   std::vector<Exchange> run_materialized(std::size_t round, std::span<const ClientJob> jobs,
                                          const ClientFn& client_fn);
   /// `dense_scalars[i]` is exchange i's logical fp32-dense scalar count (down
-  /// + up, payload copies included) — the compression baseline. Also derives
-  /// each exchange's simulated completion time and the synchronous round
-  /// duration.
+  /// + up) — the compression baseline. Also derives each exchange's simulated
+  /// completion time and the synchronous round duration.
   void finish_round(std::size_t round, std::span<const ClientJob> jobs,
                     std::vector<Exchange>& exchanges,
                     std::span<const std::size_t> up_bytes,

@@ -1,145 +1,317 @@
 #include "comm/serialize.h"
 
-#include <cstring>
+#include <algorithm>
+#include <bit>
+#include <cmath>
 
+#include "comm/quantize.h"
+#include "telemetry/telemetry.h"
 #include "util/check.h"
 
 namespace subfed {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x53464156;  // "SFAV"
+constexpr std::uint32_t kUpdateMagic = 0x53464156;  // "SFAV"
+constexpr std::uint32_t kQuantMagic = 0x53465150;   // "SFQP"
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+/// Least bytes an entry takes: name length, rank and coverage flag.
+constexpr std::size_t kMinEntryBytes = 4 + 4 + 1;
+
+// The loops below read and write tensors through raw pointers: Tensor's
+// operator[] is a checked out-of-line call, and a byte store through `out`
+// may alias any object whose address is in memory.
+
+/// Calls `fn(i)` for every position of an `n`-element tensor that `keep`
+/// (nullable: every position) marks nonzero, in order.
+template <typename Fn>
+void for_kept(std::size_t n, const float* keep, Fn&& fn) {
+  if (keep == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (keep[i] != 0.0f) fn(i);
+  }
 }
 
-void put_f32(std::vector<std::uint8_t>& out, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  put_u32(out, bits);
+/// Same, over a packed keep bitmap (nullable: every position).
+template <typename Fn>
+void for_kept(std::size_t n, const std::uint8_t* bitmap, Fn&& fn) {
+  if (bitmap == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((bitmap[i >> 3] >> (i & 7)) & 1) fn(i);
+  }
 }
 
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+/// Bytes one kept value takes at `codec`'s precision.
+std::size_t value_bytes(QuantCodec codec) {
+  return codec == QuantCodec::kNone ? 4 : codec == QuantCodec::kFp16 ? 2 : 1;
+}
 
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated update");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
+/// Writes an `n`-element keep mask as a packed bitmap and returns how many
+/// positions it keeps.
+std::size_t put_bitmap(wire::Bytes& out, const float* keep, std::size_t n) {
+  std::uint8_t* bits = wire::extend(out, (n + 7) / 8);  // zeroed
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (keep[i] != 0.0f) {
+      bits[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
+      ++kept;
+    }
   }
+  return kept;
+}
 
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
+/// Writes the `kept` values of `src` that `keep` keeps, at the codec's
+/// precision. int8 is per-tensor affine over the written values, scale first.
+void put_values(wire::Bytes& out, const float* src, std::size_t n, const float* keep,
+                std::size_t kept, QuantCodec codec) {
+  switch (codec) {
+    case QuantCodec::kNone: {
+      std::uint8_t* p = wire::extend(out, 4 * kept);
+      for_kept(n, keep, [&](std::size_t i) {
+        wire::store(p, std::bit_cast<std::uint32_t>(src[i]));
+        p += 4;
+      });
+      return;
+    }
+    case QuantCodec::kFp16: {
+      std::uint8_t* p = wire::extend(out, 2 * kept);
+      for_kept(n, keep, [&](std::size_t i) {
+        wire::store(p, fp32_to_fp16(src[i]));
+        p += 2;
+      });
+      return;
+    }
+    case QuantCodec::kInt8: {
+      float peak = 0.0f;
+      for_kept(n, keep, [&](std::size_t i) { peak = std::max(peak, std::fabs(src[i])); });
+      const float scale = peak > 0.0f ? peak / 127.0f : 1.0f;
+      wire::put_f32(out, scale);
+      std::uint8_t* p = wire::extend(out, kept);
+      for_kept(n, keep, [&](std::size_t i) {
+        const float q = std::clamp(std::round(src[i] / scale), -127.0f, 127.0f);
+        *p++ = static_cast<std::uint8_t>(static_cast<std::int8_t>(q));
+      });
+      return;
+    }
   }
+}
 
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated update");
-    return bytes_[pos_++];
+/// At least the bytes encode_payload writes for `state`, so a payload's
+/// buffer is allocated once.
+std::size_t size_bound(const StateDict& state, QuantCodec codec) {
+  std::size_t bound = 4 + 1 + 4;  // magic, quant byte, entry count
+  for (const auto& [name, tensor] : state) {
+    bound += 4 + name.size() + 4 + 4 * tensor.shape().rank() + 1 + 4 +
+             (tensor.numel() + 7) / 8 + value_bytes(codec) * tensor.numel();
   }
+  return bound;
+}
 
-  std::string str(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated update");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
+/// Entry count, then each entry: name, rank, dims, coverage flag, the keep
+/// bitmap when covered, then the kept values.
+void put_entries(wire::Bytes& out, const StateDict& state, const ModelMask* mask,
+                 QuantCodec codec) {
+  wire::put_u32(out, static_cast<std::uint32_t>(state.size()));
+  for (const auto& [name, tensor] : state) {
+    wire::put_string(out, name);
+    wire::put_u32(out, static_cast<std::uint32_t>(tensor.shape().rank()));
+    for (const std::size_t d : tensor.shape().dims()) {
+      wire::put_u32(out, static_cast<std::uint32_t>(d));
+    }
+    const Tensor* m = mask != nullptr ? mask->find(name) : nullptr;
+    wire::put_u8(out, m != nullptr ? 1 : 0);
+    const float* keep = nullptr;
+    std::size_t kept = tensor.numel();
+    if (m != nullptr) {
+      SUBFEDAVG_CHECK(m->shape() == tensor.shape(), "mask shape for " << name);
+      keep = m->data();
+      kept = put_bitmap(out, keep, m->numel());
+    }
+    put_values(out, tensor.data(), tensor.numel(), keep, kept, codec);
   }
+}
 
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  bool done() const noexcept { return pos_ == bytes_.size(); }
+/// Reads the `kept` values put_values wrote into the positions of `dst` that
+/// `bitmap` keeps.
+void read_values(wire::Reader& reader, float* dst, std::size_t n, const std::uint8_t* bitmap,
+                 std::size_t kept, QuantCodec codec) {
+  switch (codec) {
+    case QuantCodec::kNone: {
+      const std::uint8_t* p = reader.bytes(4 * kept).data();
+      for_kept(n, bitmap, [&](std::size_t i) {
+        dst[i] = std::bit_cast<float>(wire::load<std::uint32_t>(p));
+        p += 4;
+      });
+      return;
+    }
+    case QuantCodec::kFp16: {
+      const std::uint8_t* p = reader.bytes(2 * kept).data();
+      for_kept(n, bitmap, [&](std::size_t i) {
+        dst[i] = fp16_to_fp32(wire::load<std::uint16_t>(p));
+        p += 2;
+      });
+      return;
+    }
+    case QuantCodec::kInt8: {
+      const float scale = reader.f32();
+      const std::uint8_t* p = reader.bytes(kept).data();
+      for_kept(n, bitmap, [&](std::size_t i) {
+        dst[i] = static_cast<float>(static_cast<std::int8_t>(*p++)) * scale;
+      });
+      return;
+    }
+  }
+}
 
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
+/// Inverse of put_entries. Claimed counts and shapes are checked against the
+/// bytes left before anything is allocated for them.
+StateDict read_entries(wire::Reader& reader, QuantCodec codec, ModelMask* mask_out) {
+  const std::uint32_t entries = reader.count(kMinEntryBytes);
+  StateDict state;
+  for (std::uint32_t e = 0; e < entries; ++e) {
+    std::string name = reader.string();
+    std::vector<std::size_t> dims(reader.count(4));
+    for (std::size_t& d : dims) d = reader.u32();
+    check_wire_shape(dims, reader.remaining());
+    Tensor tensor{Shape(dims)};
+    const std::size_t n = tensor.numel();
+
+    const bool masked = reader.u8() != 0;
+    const std::uint8_t* bitmap = nullptr;
+    std::size_t kept = n;
+    if (masked) {
+      const std::span<const std::uint8_t> bits = reader.bytes((n + 7) / 8);
+      bitmap = bits.data();
+      kept = 0;
+      for (const std::uint8_t byte : bits) kept += static_cast<std::size_t>(std::popcount(byte));
+      if (n % 8 != 0) {  // bits past the last element are not positions
+        const unsigned past = bits.back() >> (n % 8);
+        kept -= static_cast<std::size_t>(std::popcount(past));
+      }
+    }
+    read_values(reader, tensor.data(), n, bitmap, kept, codec);
+    if (masked && mask_out != nullptr) {
+      Tensor keep{tensor.shape()};
+      float* bits = keep.data();
+      for_kept(n, bitmap, [&](std::size_t i) { bits[i] = 1.0f; });
+      mask_out->set(name, std::move(keep));
+    }
+    state.add(std::move(name), std::move(tensor));
+  }
+  return state;
+}
+
+/// Appends encode_update's bytes.
+void put_update(wire::Bytes& out, const StateDict& state, const ModelMask* mask) {
+  wire::put_u32(out, kUpdateMagic);
+  put_entries(out, state, mask, QuantCodec::kNone);
+}
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_update(const StateDict& state, const ModelMask* mask) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kMagic);
-  put_u32(out, static_cast<std::uint32_t>(state.size()));
+QuantCodec parse_quant_codec(const std::string& name) {
+  if (name == "none") return QuantCodec::kNone;
+  if (name == "fp16") return QuantCodec::kFp16;
+  if (name == "int8") return QuantCodec::kInt8;
+  SUBFEDAVG_CHECK(false, "unknown quantize codec '" << name << "' (none | fp16 | int8)");
+  return QuantCodec::kNone;
+}
 
-  for (const auto& [name, tensor] : state) {
-    put_u32(out, static_cast<std::uint32_t>(name.size()));
-    out.insert(out.end(), name.begin(), name.end());
-    put_u32(out, static_cast<std::uint32_t>(tensor.shape().rank()));
-    for (const std::size_t d : tensor.shape().dims()) {
-      put_u32(out, static_cast<std::uint32_t>(d));
-    }
-
-    const Tensor* m = mask != nullptr ? mask->find(name) : nullptr;
-    out.push_back(m != nullptr ? 1 : 0);
-    if (m == nullptr) {
-      for (std::size_t i = 0; i < tensor.numel(); ++i) put_f32(out, tensor[i]);
-      continue;
-    }
-    SUBFEDAVG_CHECK(m->shape() == tensor.shape(), "mask shape for " << name);
-    // Packed bitmap, then kept values only.
-    std::uint8_t byte = 0;
-    int bit = 0;
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if ((*m)[i] != 0.0f) byte |= static_cast<std::uint8_t>(1 << bit);
-      if (++bit == 8) {
-        out.push_back(byte);
-        byte = 0;
-        bit = 0;
-      }
-    }
-    if (bit != 0) out.push_back(byte);
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if ((*m)[i] != 0.0f) put_f32(out, tensor[i]);
-    }
+std::string quant_codec_name(QuantCodec codec) {
+  switch (codec) {
+    case QuantCodec::kNone: return "none";
+    case QuantCodec::kFp16: return "fp16";
+    case QuantCodec::kInt8: return "int8";
   }
+  return "none";
+}
+
+std::vector<std::uint8_t> encode_update(const StateDict& state, const ModelMask* mask) {
+  wire::Bytes out;
+  out.reserve(size_bound(state, QuantCodec::kNone));
+  put_update(out, state, mask);
   return out;
 }
 
 StateDict decode_update(std::span<const std::uint8_t> bytes, ModelMask* mask_out) {
-  Reader reader(bytes);
-  SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad update magic");
-  const std::uint32_t entries = reader.u32();
-
-  StateDict state;
-  for (std::uint32_t e = 0; e < entries; ++e) {
-    const std::uint32_t name_len = reader.u32();
-    std::string name = reader.str(name_len);
-    const std::uint32_t rank = reader.u32();
-    SUBFEDAVG_CHECK(rank <= reader.remaining() / 4, "truncated update");
-    std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
-    check_wire_shape(dims, reader.remaining());
-    Tensor tensor{Shape(dims)};
-
-    const bool masked = reader.u8() != 0;
-    if (!masked) {
-      for (std::size_t i = 0; i < tensor.numel(); ++i) tensor[i] = reader.f32();
-    } else {
-      std::vector<bool> keep(tensor.numel());
-      for (std::size_t i = 0; i < tensor.numel(); i += 8) {
-        const std::uint8_t byte = reader.u8();
-        for (int b = 0; b < 8 && i + b < tensor.numel(); ++b) {
-          keep[i + b] = (byte >> b) & 1;
-        }
-      }
-      for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        if (keep[i]) tensor[i] = reader.f32();
-      }
-      if (mask_out != nullptr) {
-        Tensor bits{tensor.shape()};
-        for (std::size_t i = 0; i < bits.numel(); ++i) bits[i] = keep[i] ? 1.0f : 0.0f;
-        mask_out->set(name, std::move(bits));
-      }
-    }
-    state.add(std::move(name), std::move(tensor));
-  }
-  SUBFEDAVG_CHECK(reader.done(), "trailing bytes in update");
+  wire::Reader reader(bytes, "update");
+  SUBFEDAVG_CHECK(reader.u32() == kUpdateMagic, "bad update magic");
+  StateDict state = read_entries(reader, QuantCodec::kNone, mask_out);
+  reader.finish();
   return state;
+}
+
+std::vector<std::uint8_t> encode_payload(const StateDict& state, const ModelMask* mask,
+                                         QuantCodec quantize) {
+  const telemetry::StopWatch watch;
+  wire::Bytes out;
+  out.reserve(size_bound(state, quantize));
+  if (quantize == QuantCodec::kNone) {
+    put_update(out, state, mask);
+  } else {
+    wire::put_u32(out, kQuantMagic);
+    wire::put_u8(out, static_cast<std::uint8_t>(quantize));
+    put_entries(out, state, mask, quantize);
+  }
+  if (watch.armed()) {
+    static telemetry::Counter& encodes = telemetry::counter("codec.encodes");
+    static telemetry::Counter& bytes = telemetry::counter("codec.encoded_bytes");
+    static telemetry::Timer& time = telemetry::timer("codec.encode_seconds");
+    encodes.add();
+    bytes.add(out.size());
+    time.add_seconds(watch.seconds());
+  }
+  return out;
+}
+
+StateDict decode_payload(std::span<const std::uint8_t> bytes, ModelMask* mask_out) {
+  const telemetry::StopWatch watch;
+  SUBFEDAVG_CHECK(bytes.size() >= 4, "truncated payload");
+  StateDict state;
+  if (wire::load<std::uint32_t>(bytes.data()) != kQuantMagic) {
+    state = decode_update(bytes, mask_out);
+  } else {
+    wire::Reader reader(bytes.subspan(4), "payload");
+    const std::uint8_t tag = reader.u8();
+    SUBFEDAVG_CHECK(tag == static_cast<std::uint8_t>(QuantCodec::kFp16) ||
+                        tag == static_cast<std::uint8_t>(QuantCodec::kInt8),
+                    "bad payload quant tag " << int{tag});
+    state = read_entries(reader, static_cast<QuantCodec>(tag), mask_out);
+    reader.finish();
+  }
+  if (watch.armed()) {
+    static telemetry::Counter& decodes = telemetry::counter("codec.decodes");
+    static telemetry::Counter& decoded = telemetry::counter("codec.decoded_bytes");
+    static telemetry::Timer& time = telemetry::timer("codec.decode_seconds");
+    decodes.add();
+    decoded.add(bytes.size());
+    time.add_seconds(watch.seconds());
+  }
+  return state;
+}
+
+void put_sections(std::vector<std::uint8_t>& out, const std::vector<StateDict>& sections) {
+  wire::put_u32(out, static_cast<std::uint32_t>(sections.size()));
+  for (const StateDict& section : sections) {
+    const std::size_t at = out.size();
+    wire::put_u32(out, 0);  // the blob's length, known once it is written
+    put_update(out, section, nullptr);
+    wire::store(out.data() + at, static_cast<std::uint32_t>(out.size() - at - 4));
+  }
+}
+
+std::vector<StateDict> read_sections(wire::Reader& reader) {
+  const std::uint32_t count = reader.count(4);  // each carries its 4-byte length
+  std::vector<StateDict> sections;
+  sections.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) sections.push_back(decode_update(reader.blob()));
+  return sections;
 }
 
 std::size_t encoded_header_bytes(const StateDict& state) {
@@ -171,8 +343,9 @@ std::size_t payload_bytes(const StateDict& state, const ModelMask* mask) {
       bytes += tensor.numel() * 4;
       continue;
     }
+    const float* keep = m->data();
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < m->numel(); ++i) kept += ((*m)[i] != 0.0f);
+    for (std::size_t i = 0; i < m->numel(); ++i) kept += (keep[i] != 0.0f);
     bytes += kept * 4 + (tensor.numel() + 7) / 8;
   }
   return bytes;

@@ -21,28 +21,6 @@
 
 namespace subfed {
 
-std::vector<TransportArrival> Transport::collect(
-    std::span<const std::vector<std::uint8_t>> requests, const TransportHandler& handler,
-    const ArrivalModel& arrival) {
-  // In-process default: compute every reply, then deliver them in the order
-  // the arrival model says they would have landed.
-  std::vector<std::vector<std::uint8_t>> responses = round_trip(requests, handler);
-  std::vector<std::size_t> order(responses.size());
-  std::iota(order.begin(), order.end(), 0);
-  if (arrival != nullptr) {
-    std::vector<double> seconds(responses.size());
-    for (std::size_t i = 0; i < responses.size(); ++i) {
-      seconds[i] = arrival(i, requests[i].size(), responses[i].size());
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) { return seconds[a] < seconds[b]; });
-  }
-  std::vector<TransportArrival> arrivals;
-  arrivals.reserve(responses.size());
-  for (const std::size_t i : order) arrivals.push_back({i, std::move(responses[i]), true, {}});
-  return arrivals;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -53,14 +31,29 @@ class LoopbackTransport final : public Transport {
   std::string name() const override { return "loopback"; }
   bool detached() const noexcept override { return false; }
 
-  std::vector<std::vector<std::uint8_t>> round_trip(
-      std::span<const std::vector<std::uint8_t>> requests,
-      const TransportHandler& handler) override {
+  /// Computes every reply on the thread pool, then delivers them in the
+  /// order the arrival model says they would have landed.
+  std::vector<TransportArrival> collect(std::span<const std::vector<std::uint8_t>> requests,
+                                        const TransportHandler& handler,
+                                        const ArrivalModel& arrival) override {
     std::vector<std::vector<std::uint8_t>> responses(requests.size());
     ThreadPool::global().parallel_for(requests.size(), [&](std::size_t i) {
       responses[i] = handler(requests[i], i);
     });
-    return responses;
+    std::vector<std::size_t> order(responses.size());
+    std::iota(order.begin(), order.end(), 0);
+    if (arrival != nullptr) {
+      std::vector<double> seconds(responses.size());
+      for (std::size_t i = 0; i < responses.size(); ++i) {
+        seconds[i] = arrival(i, requests[i].size(), responses[i].size());
+      }
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) { return seconds[a] < seconds[b]; });
+    }
+    std::vector<TransportArrival> arrivals;
+    arrivals.reserve(responses.size());
+    for (const std::size_t i : order) arrivals.push_back({i, std::move(responses[i]), true, {}});
+    return arrivals;
   }
 };
 
@@ -88,35 +81,23 @@ class SubprocessTransport final : public Transport {
   std::string name() const override { return "subprocess"; }
   bool detached() const noexcept override { return true; }
 
-  std::vector<std::vector<std::uint8_t>> round_trip(
-      std::span<const std::vector<std::uint8_t>> requests,
-      const TransportHandler& handler) override {
-    std::vector<std::vector<std::uint8_t>> responses(requests.size());
+  std::vector<TransportArrival> collect(std::span<const std::vector<std::uint8_t>> requests,
+                                        const TransportHandler& handler,
+                                        const ArrivalModel& arrival) override {
+    (void)arrival;  // genuine pipe-arrival order needs no simulation
     // Waves of at most `workers_` concurrent children. Every child in a wave
     // is forked first (each blocks reading its request pipe), then the parent
     // streams the requests — children start computing as soon as their frame
     // lands — and finally collects the responses as they land. A child that
     // dies before replying (crash, kill, handler _exit) produces a short read
     // and fails only this batch's run.
-    for (std::size_t base = 0; base < requests.size(); base += workers_) {
-      const std::size_t wave = std::min(workers_, requests.size() - base);
-      run_wave(requests.subspan(base, wave), base, handler,
-               {responses.data() + base, wave}, nullptr);
-    }
-    return responses;
-  }
-
-  std::vector<TransportArrival> collect(std::span<const std::vector<std::uint8_t>> requests,
-                                        const TransportHandler& handler,
-                                        const ArrivalModel& arrival) override {
-    (void)arrival;  // genuine pipe-arrival order needs no simulation
     std::vector<std::vector<std::uint8_t>> responses(requests.size());
     std::vector<std::size_t> order;
     order.reserve(requests.size());
     for (std::size_t base = 0; base < requests.size(); base += workers_) {
       const std::size_t wave = std::min(workers_, requests.size() - base);
       run_wave(requests.subspan(base, wave), base, handler,
-               {responses.data() + base, wave}, &order);
+               {responses.data() + base, wave}, order);
     }
     std::vector<TransportArrival> arrivals;
     arrivals.reserve(order.size());
@@ -136,12 +117,12 @@ class SubprocessTransport final : public Transport {
     fd = -1;
   }
 
-  /// `arrival_order`, when non-null, receives the absolute request indices in
-  /// the order their response frames started landing on the parent's pipes.
+  /// `arrival_order` receives the absolute request indices in the order
+  /// their response frames started landing on the parent's pipes.
   void run_wave(std::span<const std::vector<std::uint8_t>> requests, std::size_t base,
                 const TransportHandler& handler,
                 std::span<std::vector<std::uint8_t>> responses,
-                std::vector<std::size_t>* arrival_order) {
+                std::vector<std::size_t>& arrival_order) {
     ignore_sigpipe();
 
     std::vector<Worker> workers(requests.size());
@@ -239,7 +220,7 @@ class SubprocessTransport final : public Transport {
           }
           pending[i] = false;
           --remaining;
-          if (arrival_order != nullptr) arrival_order->push_back(base + i);
+          arrival_order.push_back(base + i);
         }
       }
     }
@@ -303,16 +284,6 @@ class TcpTransport final : public Transport {
     while (admit_worker(net::Deadline::after_ms(1))) ++admitted;
     prune_hangups();
     return admitted;
-  }
-
-  std::vector<std::vector<std::uint8_t>> round_trip(
-      std::span<const std::vector<std::uint8_t>> requests,
-      const TransportHandler& handler) override {
-    (void)handler;  // exchanges are computed by the remote workers
-    std::vector<TransportArrival> arrivals = run_batch(requests, /*tolerate=*/false);
-    std::vector<std::vector<std::uint8_t>> responses(requests.size());
-    for (TransportArrival& a : arrivals) responses[a.index] = std::move(a.response);
-    return responses;
   }
 
   std::vector<TransportArrival> collect(std::span<const std::vector<std::uint8_t>> requests,

@@ -112,25 +112,20 @@ class Transport {
   /// wait_readable); -1 when the transport accepts no connections.
   virtual int accept_fd() const noexcept { return -1; }
 
-  /// Round-trips every request through the handler, returning the responses
-  /// in request order. Implementations may run handlers concurrently; a
-  /// handler that throws (or a worker that dies) surfaces as CheckError here.
-  virtual std::vector<std::vector<std::uint8_t>> round_trip(
-      std::span<const std::vector<std::uint8_t>> requests,
-      const TransportHandler& handler) = 0;
-
-  /// Round-trips every request like round_trip, but returns replies in
-  /// ARRIVAL order — the seam buffered aggregation closes a round on.
-  /// Subprocess reports genuine pipe-arrival order (the order response frames
-  /// started landing); in-process transports order by `arrival` (ties broken
-  /// by index), falling back to request order when no model is given. Every
-  /// request is always answered, reported as a failed (ok == false) arrival
-  /// by a tolerant transport, or the call throws: a caller that closes its
-  /// round after the first K replies parks the rest — workers are never
-  /// abandoned mid-reply and no pipe outlives the call.
+  /// Round-trips every request through the handler and returns the replies
+  /// in ARRIVAL order — the seam buffered aggregation closes a round on.
+  /// Implementations may run handlers concurrently; a handler that throws (or
+  /// a worker that dies) surfaces as CheckError here. Subprocess and tcp
+  /// report genuine arrival order (the order response frames started
+  /// landing); loopback orders by `arrival` (ties broken by index), falling
+  /// back to request order when no model is given. Every request is always
+  /// answered, reported as a failed (ok == false) arrival by a tolerant
+  /// transport, or the call throws: a caller that closes its round after the
+  /// first K replies parks the rest — workers are never abandoned mid-reply
+  /// and no pipe outlives the call.
   virtual std::vector<TransportArrival> collect(
       std::span<const std::vector<std::uint8_t>> requests, const TransportHandler& handler,
-      const ArrivalModel& arrival = nullptr);
+      const ArrivalModel& arrival = nullptr) = 0;
 };
 
 /// Builds a transport by name ("loopback" | "subprocess" | "tcp"). Throws

@@ -56,8 +56,9 @@ void restore_checkpoint_bytes(FederatedAlgorithm& algorithm,
                               std::span<const std::uint8_t> bytes);
 
 /// Writes `algorithm`'s full state (name + checkpoint_state sections) to
-/// `path` (overwrites). Throws CheckError on I/O failure or when the
-/// algorithm does not support checkpointing.
+/// `path`, atomically: through `path + ".tmp"` and a rename, so a failed or
+/// interrupted write leaves the previous checkpoint intact. Throws CheckError
+/// on I/O failure or when the algorithm does not support checkpointing.
 void save_checkpoint(FederatedAlgorithm& algorithm, const std::string& path);
 
 /// Restores state saved by save_checkpoint into an algorithm built with the

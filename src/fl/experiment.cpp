@@ -14,6 +14,7 @@
 #include "telemetry/telemetry.h"
 #include "tensor/device.h"
 #include "util/check.h"
+#include "util/json.h"
 #include "util/parse.h"
 
 namespace subfed {
@@ -134,28 +135,6 @@ void set_algo_param_kv(ExperimentSpec& spec, const std::string& assignment) {
   SUBFEDAVG_CHECK(eq != std::string::npos && eq > 0,
                   "--algo-param expects key=value, got '" << assignment << "'");
   spec.algo_params.set(assignment.substr(0, eq), assignment.substr(eq + 1));
-}
-
-void append_json_escaped(std::ostringstream& os, const std::string& value) {
-  os << '"';
-  for (const char c : value) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -550,22 +529,22 @@ std::string run_result_json(const ExperimentSpec& spec, const std::string& algor
   // must reproduce live tables bit-for-bit.
   os.precision(std::numeric_limits<double>::max_digits10);
   os << "{\n  \"algorithm\": ";
-  append_json_escaped(os, algorithm_name);
+  write_json_string(os, algorithm_name);
   os << ",\n  \"spec\": {";
   bool first = true;
   for (const Field& field : kFields) {
     if (!first) os << ',';
     first = false;
     os << "\n    ";
-    append_json_escaped(os, field.key);
+    write_json_string(os, field.key);
     os << ": ";
-    append_json_escaped(os, field.get(spec));
+    write_json_string(os, field.get(spec));
   }
   for (const auto& [key, value] : spec.algo_params.entries()) {
     os << ",\n    ";
-    append_json_escaped(os, kAlgoParamPrefix + key);
+    write_json_string(os, kAlgoParamPrefix + key);
     os << ": ";
-    append_json_escaped(os, value);
+    write_json_string(os, value);
   }
   os << "\n  },\n  \"curve\": [";
   first = true;
@@ -594,7 +573,7 @@ std::string run_result_json(const ExperimentSpec& spec, const std::string& algor
     if (!first) os << ',';
     first = false;
     os << "\n    ";
-    append_json_escaped(os, key);
+    write_json_string(os, key);
     os << ": " << value;
   }
   os << (metrics.empty() ? "}" : "\n  }") << "\n}\n";

@@ -13,7 +13,7 @@ FedAvg::FedAvg(FlContext ctx) : FederatedAlgorithm(std::move(ctx)) {
 void FedAvg::run_round(std::size_t round, std::span<const std::size_t> sampled) {
   std::vector<ClientJob> jobs(sampled.size());
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    jobs[i] = {sampled[i], &global_, nullptr, 1, {}};
+    jobs[i] = {sampled[i], &global_, nullptr, {}};
   }
 
   std::vector<Exchange> exchanges = exchange_round(round, jobs);

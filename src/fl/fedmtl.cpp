@@ -8,9 +8,9 @@ namespace subfed {
 namespace {
 
 /// MTL exchanges the model plus same-sized dual/relationship state each
-/// direction. The wire payload carries both halves explicitly ("dual."-
-/// prefixed entries), so the ledger's 2×-model cost is materialized, not
-/// modeled — and the grad hook's anchor lookup by parameter name simply never
+/// direction. The payload carries both halves explicitly ("dual."-prefixed
+/// entries) on every transport, so the ledger's 2×-model cost is the payload's
+/// own size — and the grad hook's anchor lookup by parameter name simply never
 /// matches the dual entries.
 StateDict with_dual_state(const StateDict& model_state) {
   StateDict doubled;
@@ -48,16 +48,11 @@ void FedMtl::recompute_mean() {
 
 void FedMtl::run_round(std::size_t round, std::span<const std::size_t> sampled) {
   // Snapshot the mean so all sampled clients this round see the same anchor.
-  // Materializing transports carry the dual state as real payload entries;
-  // the memory fast path charges the same 2× bytes through payload_copies
-  // without ever building the copies.
-  const bool materialized = channel_->config().transport != "memory";
-  const std::size_t copies = materialized ? 1 : 2;
-  const StateDict broadcast = materialized ? with_dual_state(mean_) : mean_;
+  const StateDict broadcast = with_dual_state(mean_);
 
   std::vector<ClientJob> jobs(sampled.size());
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    jobs[i] = {sampled[i], &broadcast, nullptr, copies, {}};
+    jobs[i] = {sampled[i], &broadcast, nullptr, {}};
   }
 
   std::vector<Exchange> exchanges = exchange_round(round, jobs);
@@ -73,13 +68,8 @@ void FedMtl::run_round(std::size_t round, std::span<const std::size_t> sampled) 
 ClientResult FedMtl::run_client(std::size_t round, const ClientJob& job,
                                 const StateDict& received, bool detached) {
   const std::size_t k = job.client;
-  // Remote exchange: the client's personal model arrives as side-band. Note
-  // `materialized` is true both here (the worker's mirror channel is
-  // loopback) and on a tcp coordinator, so the wire payloads match loopback
-  // byte-for-byte.
+  // Remote exchange: the client's personal model arrives as side-band.
   if (!job.state.empty()) store_.put(k, {job.state[0]});
-  const bool materialized = channel_->config().transport != "memory";
-  const std::size_t copies = materialized ? 1 : 2;
   const float lambda = static_cast<float>(lambda_);
   const ClientDataPtr data = ctx_.data->client_ptr(k);
   Model model = ctx_.spec.build();
@@ -102,9 +92,8 @@ ClientResult FedMtl::run_client(std::size_t round, const ClientJob& job,
   StateDict trained = model.state();
 
   ClientResult result;
-  result.update.state = materialized ? with_dual_state(trained) : trained;
+  result.update.state = with_dual_state(trained);
   result.update.num_examples = data->train_labels.size();
-  result.payload_copies = copies;
   if (detached) result.state.push_back(trained);
   store_.put(k, {std::move(trained)});
   return result;

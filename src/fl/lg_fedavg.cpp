@@ -39,7 +39,7 @@ void LgFedAvg::run_round(std::size_t round, std::span<const std::size_t> sampled
   // the round ran in a detached worker).
   std::vector<ClientJob> jobs(sampled.size());
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    jobs[i] = {sampled[i], &global_head_, nullptr, 1, {}};
+    jobs[i] = {sampled[i], &global_head_, nullptr, {}};
   }
 
   std::vector<Exchange> exchanges = exchange_round(round, jobs);

@@ -17,7 +17,7 @@ void Standalone::run_round(std::size_t round, std::span<const std::size_t> sampl
   static const StateDict kEmptyPayload;
   std::vector<ClientJob> jobs(sampled.size());
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    jobs[i] = {sampled[i], &kEmptyPayload, nullptr, 1, {}};
+    jobs[i] = {sampled[i], &kEmptyPayload, nullptr, {}};
   }
 
   std::vector<Exchange> exchanges = exchange_round(round, jobs);

@@ -142,7 +142,7 @@ void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sample
   std::vector<ClientJob> jobs(sampled.size());
   for (std::size_t i = 0; i < sampled.size(); ++i) {
     pre_masks[i] = upload_mask(*store_.read(sampled[i]));
-    jobs[i] = {sampled[i], &global_, &pre_masks[i], 1, {}};
+    jobs[i] = {sampled[i], &global_, &pre_masks[i], {}};
   }
 
   std::vector<Exchange> exchanges = exchange_round(round, jobs);

@@ -9,6 +9,7 @@
 
 #include "telemetry/telemetry.h"
 #include "util/check.h"
+#include "util/wire.h"
 
 namespace subfed::net {
 
@@ -92,8 +93,7 @@ bool read_exact(int fd, void* data, std::size_t n, const Deadline& deadline) {
 bool write_frame(int fd, std::span<const std::uint8_t> bytes, const Deadline& deadline) {
   const telemetry::StopWatch watch;
   std::uint8_t prefix[4];
-  const std::uint32_t size = static_cast<std::uint32_t>(bytes.size());
-  for (int i = 0; i < 4; ++i) prefix[i] = static_cast<std::uint8_t>(size >> (8 * i));
+  wire::store(prefix, static_cast<std::uint32_t>(bytes.size()));
   const bool ok = write_exact(fd, prefix, 4, deadline) &&
                   write_exact(fd, bytes.data(), bytes.size(), deadline);
   if (ok && watch.armed()) {
@@ -114,8 +114,7 @@ bool read_frame(int fd, std::vector<std::uint8_t>* out, const Deadline& deadline
   const telemetry::StopWatch watch;
   std::uint8_t prefix[4];
   if (!read_exact(fd, prefix, 4, deadline)) return false;
-  std::uint32_t size = 0;
-  for (int i = 0; i < 4; ++i) size |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
+  const auto size = wire::load<std::uint32_t>(prefix);
   if (size > max_bytes) return false;  // reject before the allocation, not after
   // Grow with the bytes that arrive, a bounded step at a time: a length
   // prefix alone must not commit the memory it claims.

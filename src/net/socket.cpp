@@ -12,12 +12,15 @@
 #include <cstring>
 
 #include "util/check.h"
+#include "util/wire.h"
 
 namespace subfed::net {
 
 namespace {
 
 constexpr std::uint32_t kNetMagic = 0x53464E54;  // "SFNT"
+/// Magic, frame kind and tag; the payload's length prefix follows.
+constexpr std::size_t kHeaderBytes = 4 + 1 + 8;
 
 void set_nodelay(int fd) {
   const int one = 1;
@@ -175,12 +178,10 @@ TcpConn TcpListener::accept(const Deadline& deadline) {
 bool send_frame(const TcpConn& conn, FrameKind kind, std::uint64_t tag,
                 std::span<const std::uint8_t> payload, const Deadline& deadline) {
   if (!conn.valid()) return false;
-  std::uint8_t header[13];
-  for (int i = 0; i < 4; ++i) header[i] = static_cast<std::uint8_t>(kNetMagic >> (8 * i));
+  std::uint8_t header[kHeaderBytes];
+  wire::store(header, kNetMagic);
   header[4] = static_cast<std::uint8_t>(kind);
-  for (int i = 0; i < 8; ++i) {
-    header[5 + i] = static_cast<std::uint8_t>(tag >> (8 * i));
-  }
+  wire::store(header + 5, tag);
   return write_exact(conn.fd(), header, sizeof(header), deadline) &&
          write_frame(conn.fd(), payload, deadline);
 }
@@ -192,21 +193,16 @@ bool send_frame(const TcpConn& conn, const NetFrame& frame, const Deadline& dead
 bool recv_frame(const TcpConn& conn, NetFrame* out, const Deadline& deadline,
                 std::size_t max_payload) {
   if (!conn.valid()) return false;
-  std::uint8_t header[13];
+  std::uint8_t header[kHeaderBytes];
   if (!read_exact(conn.fd(), header, sizeof(header), deadline)) return false;
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  if (magic != kNetMagic) return false;
+  if (wire::load<std::uint32_t>(header) != kNetMagic) return false;
   const std::uint8_t kind = header[4];
   if (kind < static_cast<std::uint8_t>(FrameKind::kHello) ||
       kind > static_cast<std::uint8_t>(FrameKind::kMetricsTail)) {
     return false;
   }
   out->kind = static_cast<FrameKind>(kind);
-  out->tag = 0;
-  for (int i = 0; i < 8; ++i) {
-    out->tag |= static_cast<std::uint64_t>(header[5 + i]) << (8 * i);
-  }
+  out->tag = wire::load<std::uint64_t>(header + 5);
   return read_frame(conn.fd(), &out->payload, deadline, max_payload);
 }
 

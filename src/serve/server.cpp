@@ -10,50 +10,12 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace subfed {
 
 namespace {
-
-void append_json_string(std::ostringstream& os, const std::string& value) {
-  os << '"';
-  for (const char c : value) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/// kGetModel reply: u32 section count, then u32-length-prefixed
-/// encode_update blobs (the checkpoint container's section wire format).
-std::vector<std::uint8_t> encode_sections(const std::vector<StateDict>& sections) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, static_cast<std::uint32_t>(sections.size()));
-  for (const StateDict& section : sections) {
-    const std::vector<std::uint8_t> blob = encode_update(section, nullptr);
-    put_u32(out, static_cast<std::uint32_t>(blob.size()));
-    out.insert(out.end(), blob.begin(), blob.end());
-  }
-  return out;
-}
 
 net::Deadline request_io_deadline() { return net::Deadline::after_ms(5000); }
 
@@ -143,7 +105,7 @@ ServerLoop::ServerLoop(ServeOptions options)
     os << "{\"event\": " << (resumed_ ? "\"resume\"" : "\"start\"")
        << ", \"round\": " << session_->round()
        << ", \"checkpoint_path\": ";
-    append_json_string(os, checkpoint_path_);
+    write_json_string(os, checkpoint_path_);
     os << "}";
     log_event(os.str());
   }
@@ -170,7 +132,7 @@ std::string ServerLoop::status_json() const {
   std::ostringstream os;
   os.precision(std::numeric_limits<double>::max_digits10);
   os << "{\n  \"algorithm\": ";
-  append_json_string(os, session_->algorithm().name());
+  write_json_string(os, session_->algorithm().name());
   os << ",\n  \"round\": " << session_->round()
      << ",\n  \"rounds_this_process\": " << rounds_this_process_
      << ",\n  \"rounds_per_sec\": " << rounds_per_sec
@@ -190,9 +152,9 @@ std::string ServerLoop::status_json() const {
      << ",\n  \"last_eval_accuracy\": " << last_eval_accuracy_
      << ",\n  \"snapshots\": " << snapshots_
      << ",\n  \"checkpoint_path\": ";
-  append_json_string(os, checkpoint_path_);
+  write_json_string(os, checkpoint_path_);
   os << ",\n  \"telemetry_level\": ";
-  append_json_string(os, telemetry::level_name(telemetry::level()));
+  write_json_string(os, telemetry::level_name(telemetry::level()));
   os << ",\n  \"requests_served\": " << requests_served_ << "\n}\n";
   return os.str();
 }
@@ -296,7 +258,7 @@ void ServerLoop::tick_round(RoundObserver* observer) {
       std::ostringstream os;
       os << "{\"event\": \"round_failed\", \"round\": " << session_->round()
          << ", \"error\": ";
-      append_json_string(os, e.what());
+      write_json_string(os, e.what());
       os << "}";
       log_event(os.str());
     }
@@ -406,7 +368,8 @@ bool ServerLoop::handle_request(net::TcpConn& conn, const net::NetFrame& frame) 
           // once per round; every further request until the next round tick
           // serves the identical bytes.
           if (model_cache_round_ != session_->round()) {
-            model_cache_ = encode_sections({session_->algorithm().global_model()});
+            model_cache_.clear();
+            put_sections(model_cache_, {session_->algorithm().global_model()});
             model_cache_round_ = session_->round();
             ++model_encodes_;
           }
@@ -433,7 +396,9 @@ bool ServerLoop::handle_request(net::TcpConn& conn, const net::NetFrame& frame) 
         std::vector<StateDict> sections =
             session_->algorithm().client_state_sections(static_cast<std::size_t>(k));
         if (sections.empty()) sections.push_back(session_->algorithm().global_model());
-        return reply(encode_sections(sections));
+        std::vector<std::uint8_t> body;
+        put_sections(body, sections);
+        return reply(body);
       } catch (const std::exception& e) {
         return reply_error(e.what());
       }

@@ -1,8 +1,6 @@
 #include "serve/session.h"
 
-#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <vector>
@@ -14,6 +12,7 @@
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/parse.h"
+#include "util/wire.h"
 
 namespace subfed {
 
@@ -21,77 +20,6 @@ namespace {
 
 constexpr std::uint32_t kSessionMagic = 0x5346534E;  // "SFSN"
 constexpr std::uint32_t kSessionVersion = 1;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_blob(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> blob) {
-  put_u32(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated session checkpoint");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    SUBFEDAVG_CHECK(pos_ + 8 <= bytes_.size(), "truncated session checkpoint");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::span<const std::uint8_t> blob() {
-    const std::uint32_t n = u32();
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated session checkpoint blob");
-    std::span<const std::uint8_t> out = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  SUBFEDAVG_CHECK(f != nullptr, "cannot open session checkpoint: " << path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    SUBFEDAVG_CHECK(false, "cannot size session checkpoint: " << path);
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  SUBFEDAVG_CHECK(read == bytes.size(), "short session checkpoint read: " << path);
-  return bytes;
-}
 
 }  // namespace
 
@@ -433,68 +361,63 @@ void FederationSession::save(const std::string& path) {
   static telemetry::Timer& write_time = telemetry::timer("checkpoint.write_seconds");
   writes.add();
   const telemetry::ScopedSpan span("checkpoint_write", &write_time);
-  std::vector<std::uint8_t> out;
-  put_u32(out, kSessionMagic);
-  put_u32(out, kSessionVersion);
-  put_blob(out, std::span<const std::uint8_t>(
-                    reinterpret_cast<const std::uint8_t*>(spec_kv_.data()), spec_kv_.size()));
-  put_u64(out, round_);
-  put_u64(out, result_.dropped_clients);
-  put_u64(out, result_.skipped_rounds);
-  put_f64(out, result_.simulated_seconds);
-  put_u64(out, total_up_bytes());
-  put_u64(out, total_down_bytes());
-  put_u32(out, static_cast<std::uint32_t>(result_.curve.size()));
+  wire::Bytes out;
+  wire::put_u32(out, kSessionMagic);
+  wire::put_u32(out, kSessionVersion);
+  wire::put_string(out, spec_kv_);
+  wire::put_u64(out, round_);
+  wire::put_u64(out, result_.dropped_clients);
+  wire::put_u64(out, result_.skipped_rounds);
+  wire::put_f64(out, result_.simulated_seconds);
+  wire::put_u64(out, total_up_bytes());
+  wire::put_u64(out, total_down_bytes());
+  wire::put_u32(out, static_cast<std::uint32_t>(result_.curve.size()));
   for (const RoundPoint& point : result_.curve) {
-    put_u64(out, point.round);
-    put_f64(out, point.avg_accuracy);
+    wire::put_u64(out, point.round);
+    wire::put_f64(out, point.avg_accuracy);
   }
-  put_blob(out, checkpoint_bytes(*algorithm_));
-
-  // Atomic publish: a SIGKILL mid-write must leave the previous checkpoint
-  // intact, so the bytes land in a sibling temp file first.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  SUBFEDAVG_CHECK(f != nullptr, "cannot open session checkpoint for writing: " << tmp);
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  SUBFEDAVG_CHECK(written == out.size(), "short session checkpoint write: " << tmp);
-  SUBFEDAVG_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-                  "cannot publish session checkpoint " << tmp << " -> " << path);
+  wire::put_blob(out, checkpoint_bytes(*algorithm_));
+  // A SIGKILL mid-write must leave the previous checkpoint intact.
+  wire::write_file_atomic(path, out);
 }
 
 void FederationSession::restore(const std::string& path) {
   SUBFEDAVG_CHECK(!event_driven_,
                   "event-driven sessions (arrivals > 0 or arrival_trace) do not "
                   "checkpoint yet");
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  Reader reader(bytes);
+  const wire::Bytes bytes = wire::read_file(path);
+  wire::Reader reader(bytes, "session checkpoint");
   SUBFEDAVG_CHECK(reader.u32() == kSessionMagic, "bad session checkpoint magic");
   SUBFEDAVG_CHECK(reader.u32() == kSessionVersion, "unsupported session checkpoint version");
-  const std::span<const std::uint8_t> kv = reader.blob();
-  const std::string saved_kv(kv.begin(), kv.end());
+  const std::string saved_kv = reader.string();
   SUBFEDAVG_CHECK(spec_kv_.empty() || saved_kv.empty() || saved_kv == spec_kv_,
                   "session checkpoint " << path
                                         << " was written by a different spec — restart the "
                                            "server with the spec it was started with, or "
                                            "remove the checkpoint to begin a fresh federation");
-  round_ = reader.u64();
-  result_ = RunResult{};
-  result_.dropped_clients = reader.u64();
-  result_.skipped_rounds = reader.u64();
-  result_.simulated_seconds = reader.f64();
-  base_up_bytes_ = reader.u64();
-  base_down_bytes_ = reader.u64();
-  const std::uint32_t points = reader.u32();
-  result_.curve.reserve(points);
+  const std::uint64_t round = reader.u64();
+  RunResult result;
+  result.dropped_clients = reader.u64();
+  result.skipped_rounds = reader.u64();
+  result.simulated_seconds = reader.f64();
+  const std::uint64_t up_bytes = reader.u64();
+  const std::uint64_t down_bytes = reader.u64();
+  const std::uint32_t points = reader.count(16);
+  result.curve.reserve(points);
   for (std::uint32_t i = 0; i < points; ++i) {
     RoundPoint point;
     point.round = reader.u64();
     point.avg_accuracy = reader.f64();
-    result_.curve.push_back(point);
+    result.curve.push_back(point);
   }
-  restore_checkpoint_bytes(*algorithm_, reader.blob());
-  SUBFEDAVG_CHECK(reader.done(), "trailing bytes in session checkpoint");
+  const std::span<const std::uint8_t> algorithm_bytes = reader.blob();
+  reader.finish();
+  // Nothing changes until the whole file has decoded.
+  restore_checkpoint_bytes(*algorithm_, algorithm_bytes);
+  round_ = round;
+  result_ = std::move(result);
+  base_up_bytes_ = up_bytes;
+  base_down_bytes_ = down_bytes;
 
   // Replay the sampling/dropout streams through the completed rounds: the
   // engines are derived from the seed alone, so re-issuing the exact draw

@@ -8,6 +8,7 @@
 
 #include "util/check.h"
 #include "util/env.h"
+#include "util/json.h"
 
 namespace subfed::telemetry {
 
@@ -65,15 +66,6 @@ Registry<Timer>& timers() {
   return r;
 }
 
-void append_json_name(std::ostringstream& os, const std::string& name) {
-  os << '"';
-  for (const char c : name) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 }  // namespace
 
 Level level() noexcept {
@@ -122,22 +114,22 @@ std::string metrics_json() {
   os << "{\n  \"telemetry_level\": \"" << level_name(level()) << "\"";
   counters().for_each([&](const std::string& name, Counter& c) {
     os << ",\n  ";
-    append_json_name(os, name);
+    write_json_string(os, name);
     os << ": " << c.value();
   });
   gauges().for_each([&](const std::string& name, Gauge& g) {
     os << ",\n  ";
-    append_json_name(os, name);
+    write_json_string(os, name);
     os << ": " << g.value();
   });
   timers().for_each([&](const std::string& name, Timer& t) {
     os << ",\n  ";
-    append_json_name(os, name);
+    write_json_string(os, name);
     os << ": {\"seconds\": " << t.total_seconds() << ", \"count\": " << t.count() << "}";
   });
   histograms().for_each([&](const std::string& name, Histogram& h) {
     os << ",\n  ";
-    append_json_name(os, name);
+    write_json_string(os, name);
     os << ": {\"count\": " << h.count() << ", \"sum\": " << h.sum() << ", \"buckets\": {";
     bool first = true;
     for (int b = 0; b < Histogram::kBuckets; ++b) {

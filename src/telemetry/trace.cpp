@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace subfed::telemetry {
 
@@ -108,12 +109,9 @@ std::string chrome_trace_json(const std::vector<Span>& spans) {
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   bool first = true;
   for (const Span& span : spans) {
-    os << (first ? "" : ",") << "\n  {\"name\": \"";
-    for (const char c : span.name) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-    os << "\", \"ph\": \"X\", \"ts\": " << span.start_us << ", \"dur\": " << span.dur_us
+    os << (first ? "" : ",") << "\n  {\"name\": ";
+    write_json_string(os, span.name);
+    os << ", \"ph\": \"X\", \"ts\": " << span.start_us << ", \"dur\": " << span.dur_us
        << ", \"pid\": 1, \"tid\": " << span.tid << "}";
     first = false;
   }

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -14,7 +15,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonValue document() {
-    JsonValue value = parse_value();
+    JsonValue value = parse_value(0);
     skip_ws();
     SUBFEDAVG_CHECK(pos_ == text_.size(), "trailing JSON content at offset " << pos_);
     return value;
@@ -58,12 +59,12 @@ class Parser {
     }
   }
 
-  JsonValue parse_value() {
+  JsonValue parse_value(std::size_t depth) {
     const char c = peek();
     JsonValue value;
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth);
+      case '[': return parse_array(depth);
       case '"':
         value.kind = JsonValue::Kind::kString;
         value.string = parse_string();
@@ -85,7 +86,14 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  /// `depth` counts the containers enclosing the one about to be parsed.
+  void check_depth(std::size_t depth) const {
+    SUBFEDAVG_CHECK(depth < kMaxJsonDepth,
+                    "JSON nested deeper than " << kMaxJsonDepth << " levels at offset " << pos_);
+  }
+
+  JsonValue parse_object(std::size_t depth) {
+    check_depth(depth);
     JsonValue value;
     value.kind = JsonValue::Kind::kObject;
     expect('{');
@@ -93,19 +101,20 @@ class Parser {
     do {
       std::string key = parse_string();
       expect(':');
-      value.object.emplace_back(std::move(key), parse_value());
+      value.object.emplace_back(std::move(key), parse_value(depth + 1));
     } while (consume(','));
     expect('}');
     return value;
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
+    check_depth(depth);
     JsonValue value;
     value.kind = JsonValue::Kind::kArray;
     expect('[');
     if (consume(']')) return value;
     do {
-      value.array.push_back(parse_value());
+      value.array.push_back(parse_value(depth + 1));
     } while (consume(','));
     expect(']');
     return value;
@@ -207,5 +216,27 @@ std::string JsonValue::string_or(const std::string& key, const std::string& fall
 }
 
 JsonValue parse_json(const std::string& text) { return Parser(text).document(); }
+
+void write_json_string(std::ostream& os, std::string_view value) {
+  os << '"';
+  for (const char c : value) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
 
 }  // namespace subfed

@@ -279,7 +279,7 @@ TEST_F(CheckpointTest, RejectsClientSectionsThatDoNotMatchTheArchitecture) {
     bad[s] = reshaped;
     EXPECT_THROW(alg.restore_checkpoint_state(bad), CheckError) << "section " << s;
 
-    ClientJob job{2, &global, nullptr, 1, {bad.begin() + 7, bad.begin() + 10}};
+    ClientJob job{2, &global, nullptr, {bad.begin() + 7, bad.begin() + 10}};
     EXPECT_THROW(alg.run_client(0, job, global, /*detached=*/true), CheckError)
         << "section " << s;
   }

@@ -158,6 +158,28 @@ TEST(FedMtl, ChargesDoubleDenseTraffic) {
   EXPECT_EQ(alg.ledger().round_down(0), 2 * dense * sampled.size());
 }
 
+TEST(FedMtl, MemoryLedgerChargesTheDualStatePayload) {
+  // Both transports exchange the model plus its dual state. Memory charges
+  // that payload's size without materializing it; loopback round-trips the
+  // same values through real bytes, so the clients train identically.
+  FlContext loopback_ctx = small_ctx();
+  loopback_ctx.transport = "loopback";
+  FedMtl memory(small_ctx(), /*lambda=*/0.1);
+  FedMtl loopback(loopback_ctx, /*lambda=*/0.1);
+  const std::vector<std::vector<std::size_t>> cohorts = {{0, 2, 4}, {5, 1, 3}};
+  for (std::size_t r = 0; r < cohorts.size(); ++r) {
+    memory.run_round(r, cohorts[r]);
+    loopback.run_round(r, cohorts[r]);
+  }
+  Model m = small_ctx().spec.build();
+  const std::size_t dense = m.state().numel() * 4;
+  EXPECT_EQ(memory.ledger().total_up(), 2 * dense * 6);
+  EXPECT_EQ(memory.ledger().total_down(), 2 * dense * 6);
+  EXPECT_EQ(memory.ledger().total_up(), 1054080u);
+  EXPECT_EQ(memory.ledger().total_down(), 1054080u);
+  EXPECT_EQ(memory.all_test_accuracies(), loopback.all_test_accuracies());
+}
+
 TEST(FedMtl, PersonalModelsDiverge) {
   FedMtl alg(small_ctx(), 0.01);
   const auto sampled = all_clients();

@@ -1,16 +1,19 @@
-// RNG, thread pool, env, and table utilities.
+// RNG, thread pool, env, table, JSON writer and wire-codec utilities.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "util/check.h"
 #include "util/env.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
+#include "util/wire.h"
 
 namespace subfed {
 namespace {
@@ -184,6 +187,45 @@ TEST(Format, Helpers) {
   EXPECT_EQ(format_bytes(2048), "2.00 KB");
   EXPECT_EQ(format_bytes(3.5 * 1024 * 1024), "3.50 MB");
   EXPECT_EQ(format_bytes(1.25 * 1024 * 1024 * 1024), "1.25 GB");
+}
+
+TEST(Json, WriteJsonStringEscapesWhatJsonRequires) {
+  const std::string text = std::string("q\"b\\s\n\r\t") + '\x01' + '\x1f' + " \xc3\xa9/";
+  std::ostringstream os;
+  write_json_string(os, text);
+  EXPECT_EQ(os.str(), "\"q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f \xc3\xa9/\"");
+  EXPECT_EQ(parse_json(os.str()).string, text);
+
+  std::ostringstream plain;
+  write_json_string(plain, "comm.encode_s");
+  EXPECT_EQ(plain.str(), "\"comm.encode_s\"");
+}
+
+TEST(Wire, LittleEndianWritersAndBoundedReader) {
+  wire::Bytes out;
+  wire::put_u32(out, 0x04030201u);
+  wire::put_u64(out, 0x0C0B0A0908070605ULL);
+  wire::put_string(out, "ab");
+  wire::put_u8(out, 0xEE);
+  EXPECT_EQ(out, (wire::Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2, 0, 0, 0, 'a', 'b', 0xEE}));
+
+  wire::Reader reader(out, "sample");
+  EXPECT_EQ(reader.u32(), 0x04030201u);
+  EXPECT_EQ(reader.u64(), 0x0C0B0A0908070605ULL);
+  EXPECT_EQ(reader.string(), "ab");
+  EXPECT_THROW(reader.finish(), CheckError);  // one byte left
+  EXPECT_EQ(reader.u8(), 0xEE);
+  reader.finish();
+  EXPECT_THROW(reader.u8(), CheckError);
+
+  // A count is refused when the bytes left cannot hold that many elements.
+  wire::Bytes counted;
+  wire::put_u32(counted, 3);
+  counted.resize(counted.size() + 11);
+  wire::Reader short_reader(counted, "sample");
+  EXPECT_THROW(short_reader.count(4), CheckError);
+  wire::Reader exact_reader(counted, "sample");
+  EXPECT_EQ(exact_reader.count(3), 3u);
 }
 
 TEST(Check, ThrowsWithMessage) {

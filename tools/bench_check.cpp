@@ -189,36 +189,27 @@ double current_value(const JsonValue& document, const TrackedMetric& metric) {
   return resolve_number(document, metric.numerator) / denominator;
 }
 
-void append_json_string(std::ostringstream& os, const std::string& value) {
-  os << '"';
-  for (const char c : value) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 /// Rewrites the baseline manifest with fresh values (--update).
 void write_baseline(const std::string& path, const Baseline& baseline,
                     const std::vector<double>& values) {
   std::ostringstream os;
   os.precision(std::numeric_limits<double>::max_digits10);
   os << "{\n  \"file\": ";
-  append_json_string(os, baseline.file);
+  write_json_string(os, baseline.file);
   os << ",\n  \"default_tolerance\": " << baseline.default_tolerance
      << ",\n  \"metrics\": [";
   for (std::size_t i = 0; i < baseline.metrics.size(); ++i) {
     const TrackedMetric& metric = baseline.metrics[i];
     os << (i == 0 ? "" : ",") << "\n    {\"name\": ";
-    append_json_string(os, metric.name);
+    write_json_string(os, metric.name);
     if (!metric.path.empty()) {
       os << ", \"path\": ";
-      append_json_string(os, metric.path);
+      write_json_string(os, metric.path);
     } else {
       os << ", \"ratio\": {\"numerator\": ";
-      append_json_string(os, metric.numerator);
+      write_json_string(os, metric.numerator);
       os << ", \"denominator\": ";
-      append_json_string(os, metric.denominator);
+      write_json_string(os, metric.denominator);
       os << "}";
     }
     os << ", \"direction\": \"" << metric.direction << "\", \"tolerance\": "

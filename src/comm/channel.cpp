@@ -1,7 +1,9 @@
 #include "comm/channel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "fl/robust.h"
@@ -71,15 +73,32 @@ Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
 
 namespace {
 
+/// x += sign·r at kept positions. Masked positions keep their bits: a select,
+/// not an added zero, which would turn −0 into +0. The select works on the
+/// bits because g++ keeps a `?:` on floats as a branch, which a pruning
+/// mask's scattered zeros mispredict; this form vectorizes.
 void combine_reference(StateDict& state, const ModelMask* mask, const StateDict& reference,
                        float sign) {
   for (auto& [name, tensor] : state) {
     const Tensor* ref = reference.find(name);
     if (ref == nullptr) continue;
-    SUBFEDAVG_CHECK(ref->numel() == tensor.numel(), "delta reference shape for " << name);
+    const std::size_t n = tensor.numel();
+    SUBFEDAVG_CHECK(ref->numel() == n, "delta reference shape for " << name);
     const Tensor* m = mask != nullptr ? mask->find(name) : nullptr;
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if (m == nullptr || (*m)[i] != 0.0f) tensor[i] += sign * (*ref)[i];
+    float* x = tensor.data();
+    const float* r = ref->data();
+    if (m == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) x[i] += sign * r[i];
+      continue;
+    }
+    SUBFEDAVG_CHECK(m->numel() == n, "delta mask shape for " << name);
+    const float* keep = m->data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t old = std::bit_cast<std::uint32_t>(x[i]);
+      const std::uint32_t shifted = std::bit_cast<std::uint32_t>(x[i] + sign * r[i]);
+      // All ones where keep[i] != ±0, as `keep[i] != 0.0f` reads it.
+      const std::uint32_t take = (std::bit_cast<std::uint32_t>(keep[i]) << 1) != 0 ? ~0u : 0u;
+      x[i] = std::bit_cast<float>((shifted & take) | (old & ~take));
     }
   }
 }
@@ -93,37 +112,6 @@ void subtract_reference(StateDict& state, const ModelMask* mask, const StateDict
 void apply_reference(StateDict& state, const ModelMask* mask, const StateDict& reference) {
   combine_reference(state, mask, reference, 1.0f);
 }
-
-namespace {
-
-/// Encodes one client's reply envelope through the codec stack. Both the
-/// coordinator's in-process handler and a remote worker's serve_remote_exchange
-/// go through here, so a tcp reply is byte-identical to the loopback reply the
-/// same computation would have produced. `charged_bytes`, when non-null,
-/// receives the charged (section-0) size.
-std::vector<std::uint8_t> encode_client_reply(const ChannelConfig& config, std::uint32_t round,
-                                              std::uint32_t client, const StateDict& received,
-                                              ClientResult result,
-                                              std::size_t* charged_bytes) {
-  Envelope reply;
-  reply.kind = MessageKind::kClientUpdate;
-  reply.round = round;
-  reply.client = client;
-  reply.num_examples = result.update.num_examples;
-  reply.quantize = config.quantize;
-  reply.delta = config.delta;
-  const ModelMask* mask = result.update.mask.empty() ? nullptr : &result.update.mask;
-  StateDict upload = std::move(result.update.state);
-  if (config.delta) subtract_reference(upload, mask, received);
-  reply.sections.push_back(encode_payload(upload, mask, config.quantize));
-  if (charged_bytes != nullptr) *charged_bytes = reply.sections[0].size();
-  for (const StateDict& section : result.state) {
-    reply.sections.push_back(encode_update(section, nullptr));
-  }
-  return encode_envelope(reply);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Channel
@@ -173,21 +161,37 @@ double Channel::arrival_seconds(const ClientRoundCost& cost) const {
   return nominal.transfer_seconds(cost.up_bytes, cost.down_bytes) + cost.compute_seconds;
 }
 
-std::vector<std::uint8_t> Channel::serve_remote_exchange(
-    std::span<const std::uint8_t> request_bytes, const RemoteClientFn& fn) const {
+std::vector<std::uint8_t> Channel::serve_exchange(std::span<const std::uint8_t> request_bytes,
+                                                  const ClientFn& fn,
+                                                  std::size_t* charged_bytes) const {
   const Envelope request = decode_envelope(request_bytes);
   SUBFEDAVG_CHECK(request.kind == MessageKind::kBroadcast && !request.sections.empty(),
-                  "worker expected a broadcast envelope");
+                  "client expected a broadcast envelope");
   const StateDict received = decode_payload(request.sections[0]);
   ClientJob job;
   job.client = request.client;
-  job.broadcast = &received;  // post-codec view; remote jobs have no pre-codec state
+  job.broadcast = &received;  // post-codec view; no pre-codec state crosses
   for (std::size_t s = 1; s < request.sections.size(); ++s) {
     job.state.push_back(decode_update(request.sections[s]));
   }
   ClientResult result = fn(request.round, job, received);
-  return encode_client_reply(config_, request.round, request.client, received,
-                             std::move(result), nullptr);
+
+  Envelope reply;
+  reply.kind = MessageKind::kClientUpdate;
+  reply.round = request.round;
+  reply.client = request.client;
+  reply.num_examples = result.update.num_examples;
+  reply.quantize = config_.quantize;
+  reply.delta = config_.delta;
+  const ModelMask* mask = result.update.mask.empty() ? nullptr : &result.update.mask;
+  StateDict upload = std::move(result.update.state);
+  if (config_.delta) subtract_reference(upload, mask, received);
+  reply.sections.push_back(encode_payload(upload, mask, config_.quantize));
+  if (charged_bytes != nullptr) *charged_bytes = reply.sections[0].size();
+  for (const StateDict& section : result.state) {
+    reply.sections.push_back(encode_update(section, nullptr));
+  }
+  return encode_envelope(reply);
 }
 
 std::vector<Exchange> Channel::run_round(std::size_t round, std::span<const ClientJob> jobs,
@@ -230,12 +234,12 @@ std::vector<Exchange> Channel::close_buffered_round(
                                 ? a.origin_round < b.origin_round
                                 : a.arrival_rank < b.arrival_rank;
                    });
-  // Note a delivery-order invariant the algorithms rely on for their
-  // side-band client mirrors: deliverable stale updates are consumed before
-  // ANY fresh reply (a filled buffer leaves fresh_slots == 0), within the
-  // stale queue oldest origin goes first, and same-round stale precede fresh
-  // in the output — so a client's mirror sections always install oldest to
-  // newest and a parked mirror can never roll back a newer one.
+  // Note a delivery-order invariant the algorithms rely on for the side-band
+  // client state of detached replies: deliverable stale updates are consumed
+  // before ANY fresh reply (a filled buffer leaves fresh_slots == 0), within
+  // the stale queue oldest origin goes first, and same-round stale precede
+  // fresh in the output — so a client's sections always store oldest to
+  // newest and a parked reply can never roll back a newer one.
   const std::size_t k = config_.buffer_k == 0 ? fresh.size() : config_.buffer_k;
   std::vector<Exchange> out;
   std::vector<ParkedUpdate> still_parked;
@@ -301,7 +305,7 @@ std::vector<Exchange> Channel::run_in_memory(std::size_t round,
   ThreadPool::global().parallel_for(jobs.size(), [&](std::size_t i) {
     const ClientJob& job = jobs[i];
     down_bytes[i] = payload_bytes(*job.broadcast, job.mask);
-    ClientResult result = client_fn(job, *job.broadcast, /*detached=*/false);
+    ClientResult result = client_fn(round, job, *job.broadcast);
     const ModelMask* mask = result.update.mask.empty() ? nullptr : &result.update.mask;
     up_bytes[i] = payload_bytes(result.update.state, mask);
     dense_scalars[i] = job.broadcast->numel() + result.update.state.numel();
@@ -342,8 +346,8 @@ std::vector<Exchange> Channel::run_materialized(std::size_t round,
         encode_payload(*jobs[i].broadcast, jobs[i].mask, config_.quantize));
     down_bytes[i] = broadcast.sections[0].size();
     if (config_.delta) as_received[i] = decode_payload(broadcast.sections[0]);
-    // Side-band client state DOWN (remote workers only; local transports get
-    // empty job.state, so their request bytes are unchanged). Never charged.
+    // Side-band client state DOWN (detached transports only; loopback jobs
+    // carry none, so its request bytes are unchanged). Never charged.
     for (const StateDict& section : jobs[i].state) {
       broadcast.sections.push_back(encode_update(section, nullptr));
     }
@@ -353,22 +357,16 @@ std::vector<Exchange> Channel::run_materialized(std::size_t round,
   last_phase_seconds_.encode = encode_watch.seconds();
   telemetry::record_span("broadcast_encode", encode_watch);
 
-  // Client side (possibly in a forked worker): decode the broadcast, compute,
-  // encode the update through the same codec stack. `up_payload` records each
-  // reply's charged (section-0) size for the arrival model — written by the
-  // in-process loopback handler only; subprocess children write their copy,
-  // which is fine because that transport ignores the model anyway.
-  const bool detached = transport_->detached();
+  // Client side (possibly in a forked worker): serve_exchange decodes the
+  // broadcast, computes, and encodes the update through the same codec stack.
+  // `up_payload` records each reply's charged (section-0) size for the arrival
+  // model — written by the in-process loopback handler only; subprocess
+  // children write their copy, which is fine because that transport ignores
+  // the model anyway.
   std::vector<std::size_t> up_payload(jobs.size(), 0);
   const TransportHandler handler = [&](std::span<const std::uint8_t> request_bytes,
                                        std::size_t i) {
-    const Envelope request = decode_envelope(request_bytes);
-    SUBFEDAVG_CHECK(request.kind == MessageKind::kBroadcast && !request.sections.empty(),
-                    "client expected a broadcast envelope");
-    const StateDict received = decode_payload(request.sections[0]);
-    ClientResult result = client_fn(jobs[i], received, detached);
-    return encode_client_reply(config_, request.round, request.client, received,
-                               std::move(result), &up_payload[i]);
+    return serve_exchange(request_bytes, client_fn, &up_payload[i]);
   };
 
   // Replies come back in arrival order: genuine pipe order from subprocess

@@ -22,14 +22,17 @@
 //                process; the ledger charges the materialized message bytes.
 //   subprocess — like loopback, but the client half runs in forked workers
 //                speaking length-prefixed envelopes over pipes (crash
-//                isolation; client-state mutations return as side-band
-//                sections that are never charged).
+//                isolation). Requests carry the client's state down and
+//                replies carry its new state back, as side-band sections
+//                that are never charged.
 //   tcp        — like subprocess, but the client half runs in remote worker
-//                processes (tools/worker) joined over real sockets. Requests
-//                additionally carry the client's side-band state DOWN
-//                (remote workers share no memory at all), and a worker that
-//                dies or times out mid-exchange is evicted as a straggler in
-//                buffered mode instead of hanging the round.
+//                processes (tools/worker) joined over real sockets, and a
+//                worker that dies or times out mid-exchange is evicted as a
+//                straggler in buffered mode instead of hanging the round.
+//
+// One decode path serves the client half everywhere: serve_exchange decodes
+// a request, runs the ClientFn and encodes the reply, for the loopback
+// handler, the subprocess child and the tcp worker alike.
 //
 // Corruption (FlContext's corrupt_fraction/corrupt_noise) is injected after
 // the server decodes an upload — post-codec, so a corrupted update is exactly
@@ -100,8 +103,8 @@ enum class MessageKind : std::uint8_t { kBroadcast = 1, kClientUpdate = 2 };
 
 /// One message: a fixed header plus length-prefixed payload sections.
 /// Section 0 is the codec-encoded logical payload (the bytes the ledger
-/// charges); further sections are uncharged side-band state (subprocess
-/// client mirrors).
+/// charges); further sections are uncharged side-band client state (detached
+/// transports).
 struct Envelope {
   MessageKind kind = MessageKind::kBroadcast;
   std::uint32_t round = 0;
@@ -133,16 +136,15 @@ struct ClientJob {
   const StateDict* broadcast = nullptr;  ///< server payload down (required)
   const ModelMask* mask = nullptr;       ///< limits the broadcast to kept entries
   /// Side-band client state shipped DOWN with the broadcast (uncharged). Fill
-  /// only when Channel::ships_client_state() — remote workers hold no client
-  /// mirrors, so each exchange carries everything the client needs in.
+  /// only when Channel::detached(): a detached client sees nothing of this
+  /// process, so each exchange carries everything the client needs in.
   std::vector<StateDict> state;
 };
 
 /// What the client-side computation returns.
 struct ClientResult {
   ClientUpdate update;            ///< uplink payload (mask optional)
-  std::vector<StateDict> state;   ///< side-band client-state mirror; fill only
-                                  ///< when the job says `detached`
+  std::vector<StateDict> state;   ///< the client's new state (side-band)
 };
 
 /// The server-side view of one completed exchange. Synchronous rounds yield
@@ -153,25 +155,20 @@ struct Exchange {
   ClientUpdate update;            ///< as decoded by the server (post-codec,
                                   ///< post-corruption; `weight` carries the
                                   ///< staleness down-weight)
-  std::vector<StateDict> state;   ///< side-band mirror (detached transports)
+  std::vector<StateDict> state;   ///< side-band client state, as the reply
+                                  ///< carried it
   bool corrupted = false;
   std::size_t staleness = 0;      ///< rounds this update waited parked
 };
 
-/// Client-side computation: receives its job, the broadcast AS RECEIVED
-/// (post-codec — lossy codecs affect training exactly as deployed), and
-/// whether it runs detached from the server's address space (fill
-/// ClientResult::state iff true). Must be safe to call concurrently for
-/// distinct jobs.
-using ClientFn =
-    std::function<ClientResult(const ClientJob& job, const StateDict& received, bool detached)>;
-
-/// Worker-side computation for one remote exchange (serve_remote_exchange):
-/// the job is reconstructed from the wire — `job.client`, `job.state`
-/// (side-band sections shipped down), and `job.broadcast == &received` (the
-/// post-codec view; remote jobs carry no pre-codec server state).
-using RemoteClientFn = std::function<ClientResult(std::size_t round, const ClientJob& job,
-                                                  const StateDict& received)>;
+/// Client-side computation: receives the round, its job and the broadcast AS
+/// RECEIVED (post-codec — lossy codecs affect training exactly as deployed).
+/// The memory path passes the caller's job; serve_exchange rebuilds it from
+/// the wire: `job.client`, `job.state` (side-band sections shipped down) and
+/// `job.broadcast == &received` (no pre-codec server state crosses). Must be
+/// safe to call concurrently for distinct jobs.
+using ClientFn = std::function<ClientResult(std::size_t round, const ClientJob& job,
+                                            const StateDict& received)>;
 
 class Channel {
  public:
@@ -186,12 +183,10 @@ class Channel {
 
   const ChannelConfig& config() const noexcept { return config_; }
 
-  /// True when jobs must carry each client's side-band state DOWN
-  /// (ClientJob::state): the handler runs on a remote machine that shares no
-  /// memory — not even copy-on-write — with this process.
-  bool ships_client_state() const noexcept {
-    return transport_ != nullptr && transport_->remote();
-  }
+  /// True when the client half runs outside this process (subprocess, tcp):
+  /// jobs must carry each client's state down (ClientJob::state) and replies
+  /// carry its new state back.
+  bool detached() const noexcept { return transport_ != nullptr && transport_->detached(); }
 
   /// The transport's accept address ("host:port" with any ephemeral port
   /// resolved); empty for in-process backends. Workers join it.
@@ -204,12 +199,15 @@ class Channel {
   /// between rounds.
   Transport* transport() noexcept { return transport_.get(); }
 
-  /// Worker side of one remote exchange: decodes a kExchange request payload
-  /// (a Broadcast envelope), runs `fn`, and encodes the reply envelope through
-  /// the identical codec stack as the coordinator's in-process handler —
-  /// byte-for-byte, which is what makes tcp rounds bit-identical to loopback.
-  std::vector<std::uint8_t> serve_remote_exchange(std::span<const std::uint8_t> request_bytes,
-                                                  const RemoteClientFn& fn) const;
+  /// Client side of one exchange: decodes a request (a Broadcast envelope),
+  /// runs `fn`, and encodes the reply envelope through the codec stack. The
+  /// loopback handler, the subprocess child and the tcp worker all answer
+  /// through here, which is what makes their rounds byte-identical.
+  /// `charged_bytes`, when non-null, receives the reply's charged
+  /// (section-0) size.
+  std::vector<std::uint8_t> serve_exchange(std::span<const std::uint8_t> request_bytes,
+                                           const ClientFn& fn,
+                                           std::size_t* charged_bytes = nullptr) const;
 
   /// Heterogeneous link endowments for the round-time model and buffered
   /// arrival ordering. Not owned; must outlive the channel (or be reset).

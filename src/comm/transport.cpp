@@ -274,7 +274,6 @@ class TcpTransport final : public Transport {
 
   std::string name() const override { return "tcp"; }
   bool detached() const noexcept override { return true; }
-  bool remote() const noexcept override { return true; }
   std::string endpoint() const override { return listener_.endpoint(); }
   std::size_t connected_peers() const noexcept override { return live_count(); }
   int accept_fd() const noexcept override { return listener_.fd(); }

@@ -10,19 +10,21 @@
 //                 materialized, not estimated.
 //   subprocess  — fork-per-round worker pool: each exchange runs in a forked
 //                 child speaking length-prefixed envelopes over pipes. The
-//                 child inherits the federation state copy-on-write, computes
-//                 the client's round, replies, and exits. A crashed or killed
-//                 worker fails only the exchange (and hence the run) it was
-//                 serving — the sweep engine's failure isolation contains it.
+//                 child decodes its request, computes the client's round,
+//                 replies, and exits. A crashed or killed worker fails only the
+//                 exchange (and hence the run) it was serving — the sweep
+//                 engine's failure isolation contains it.
 //   tcp         — real sockets (src/net/): the coordinator listens on
 //                 TransportOptions::listen and dispatches exchanges to worker
-//                 processes (tools/worker) that joined it. Requests carry the
-//                 client's full side-band state down (the handler cannot
-//                 touch this process's memory at all), replies report genuine
-//                 network arrival order, and a dead or timed-out connection
-//                 fails only its exchange: in tolerant (buffered) mode it
-//                 surfaces as TransportArrival::ok == false — an evicted
-//                 straggler — never a hung round.
+//                 processes (tools/worker) that joined it. Replies report
+//                 genuine network arrival order, and a dead or timed-out
+//                 connection fails only its exchange: in tolerant (buffered)
+//                 mode it surfaces as TransportArrival::ok == false — an
+//                 evicted straggler — never a hung round.
+//
+// Subprocess and tcp are both detached(): the handler's writes never reach
+// this process, so a request carries the client's state down and its reply
+// carries the new state back (fl/algorithm.h ships and stores it).
 #pragma once
 
 #include <cstdint>
@@ -85,14 +87,10 @@ class Transport {
 
   virtual std::string name() const = 0;
 
-  /// True when the handler runs outside the caller's address space (so any
-  /// client-side state mutation must be shipped back inside the response).
+  /// True when the handler runs outside the caller's address space: a
+  /// request must carry the client's state down and its response the
+  /// client's new state back.
   virtual bool detached() const noexcept = 0;
-
-  /// True when exchanges run on remote machines: requests must additionally
-  /// carry all per-client state DOWN (the remote end shares no memory with
-  /// the caller, not even copy-on-write).
-  virtual bool remote() const noexcept { return false; }
 
   /// Address peers connect to ("host:port" with any ephemeral port
   /// resolved); empty for in-process and fork transports.

@@ -1,5 +1,8 @@
 #include "fl/algorithm.h"
 
+#include <iterator>
+#include <string>
+
 #include "telemetry/telemetry.h"
 #include "tensor/backend.h"
 #include "util/check.h"
@@ -50,6 +53,7 @@ FederatedAlgorithm::FederatedAlgorithm(FlContext ctx) : ctx_(ctx) {
   fleet_ = std::make_unique<LinkFleet>(num_clients(), LinkModel{}, fleet_spread_,
                                        Rng(fleet_seed_).split("link-fleet"));
   channel_->set_link_fleet(fleet_.get());
+  clients_.init(num_clients(), {}, ctx_.client_cache);  // no sections until init_clients
 }
 
 void FederatedAlgorithm::apply_link_spread(double spread, std::uint64_t seed) {
@@ -101,41 +105,111 @@ std::vector<double> FederatedAlgorithm::all_test_accuracies() {
 }
 
 ClientResult FederatedAlgorithm::run_client(std::size_t /*round*/, const ClientJob& /*job*/,
-                                            const StateDict& /*received*/, bool /*detached*/) {
+                                            const StateDict& /*received*/) {
   SUBFEDAVG_CHECK(false, name() << " does not support remote execution");
   return {};
 }
 
-std::vector<StateDict> FederatedAlgorithm::client_state_sections(std::size_t /*k*/) {
-  return {};
+ClientResult FederatedAlgorithm::run_client(std::size_t round, const ClientJob& job,
+                                            const StateDict& received, bool detached) {
+  ClientResult result = run_client(round, job, received);
+  if (!detached) keep_client(job.client, result.state);
+  return result;
+}
+
+StateSections FederatedAlgorithm::client_sections(std::size_t k) const {
+  return *clients_.peek(k);
+}
+
+void FederatedAlgorithm::init_clients(StateSections initial_sections) {
+  clients_.init(num_clients(), std::move(initial_sections), ctx_.client_cache);
+}
+
+void FederatedAlgorithm::check_client(std::span<const StateDict> sections) const {
+  const StateSections& like = clients_.initial_sections();
+  SUBFEDAVG_CHECK(sections.size() == like.size(), name() << " client state has " << sections.size()
+                                                         << " sections, expected " << like.size());
+  for (std::size_t s = 0; s < like.size(); ++s) {
+    check_section(sections[s], like[s], "client section " + std::to_string(s));
+  }
+}
+
+void FederatedAlgorithm::store_client(std::size_t k, StateSections sections) {
+  check_client(sections);
+  if (!sections.empty()) clients_.put(k, std::move(sections));
+}
+
+void FederatedAlgorithm::keep_client(std::size_t k, StateSections& sections) {
+  store_client(k, std::move(sections));
+  sections.clear();
+}
+
+ClientResult FederatedAlgorithm::serve_job(std::size_t round, const ClientJob& job,
+                                           const StateDict& received) {
+  if (!job.state.empty()) store_client(job.client, job.state);
+  return run_client(round, job, received);
 }
 
 std::vector<Exchange> FederatedAlgorithm::exchange_round(std::size_t round,
                                                          std::span<ClientJob> jobs) {
-  if (channel_->ships_client_state()) {
-    for (ClientJob& job : jobs) job.state = client_state_sections(job.client);
+  const bool out_of_process = channel_->detached();
+  if (out_of_process) {
+    for (ClientJob& job : jobs) job.state = client_sections(job.client);
   }
-  return channel_->run_round(
-      round, jobs, [&](const ClientJob& job, const StateDict& received, bool detached) {
-        return run_client(round, job, received, detached);
+  std::vector<Exchange> exchanges = channel_->run_round(
+      round, jobs, [&](std::size_t r, const ClientJob& job, const StateDict& received) {
+        ClientResult result = serve_job(r, job, received);
+        if (!out_of_process) keep_client(job.client, result.state);
+        return result;
       });
+  if (out_of_process) {
+    for (Exchange& exchange : exchanges) keep_client(exchange.client, exchange.state);
+  }
+  return exchanges;
 }
 
 std::vector<std::uint8_t> FederatedAlgorithm::serve_remote(
     std::span<const std::uint8_t> request_bytes) {
-  return channel_->serve_remote_exchange(
+  return channel_->serve_exchange(
       request_bytes, [&](std::size_t round, const ClientJob& job, const StateDict& received) {
-        return run_client(round, job, received, /*detached=*/true);
+        return serve_job(round, job, received);
       });
 }
 
-std::vector<StateDict> FederatedAlgorithm::checkpoint_state() {
-  SUBFEDAVG_CHECK(false, name() << " does not support checkpointing");
-  return {};
+void FederatedAlgorithm::append_client_sections(std::vector<StateDict>& out) const {
+  for (std::size_t k = 0; k < clients_.size(); ++k) {
+    const StateSectionsPtr sections = clients_.peek(k);
+    out.insert(out.end(), sections->begin(), sections->end());
+  }
 }
 
-void FederatedAlgorithm::restore_checkpoint_state(std::vector<StateDict> /*sections*/) {
-  SUBFEDAVG_CHECK(false, name() << " does not support checkpointing");
+void FederatedAlgorithm::restore_client_sections(std::span<StateDict> sections) {
+  const std::size_t per_client = clients_.initial_sections().size();
+  SUBFEDAVG_CHECK(sections.size() == per_client * num_clients(),
+                  name() << " checkpoint has " << sections.size() << " client sections, "
+                         << num_clients() << " clients need " << per_client * num_clients());
+  for (std::size_t k = 0; k < num_clients(); ++k) {
+    check_client(sections.subspan(k * per_client, per_client));
+  }
+  clients_.reset();
+  for (std::size_t k = 0; k < num_clients(); ++k) {
+    const auto first = std::make_move_iterator(sections.begin() + k * per_client);
+    store_client(k, StateSections(first, first + per_client));
+  }
+}
+
+std::vector<StateDict> FederatedAlgorithm::checkpoint_state() {
+  SUBFEDAVG_CHECK(!clients_.initial_sections().empty(),
+                  name() << " does not support checkpointing");
+  std::vector<StateDict> sections;
+  append_client_sections(sections);
+  return sections;
+}
+
+void FederatedAlgorithm::restore_checkpoint_state(std::vector<StateDict> sections) {
+  SUBFEDAVG_CHECK(!clients_.initial_sections().empty(),
+                  name() << " does not support checkpointing");
+  restore_client_sections(sections);
 }
 
 StateDict FederatedAlgorithm::global_model() {

@@ -6,6 +6,15 @@
 // client k's model is scored on the global test pool filtered to k's labels
 // (paper §4.1) — for global-model methods that means scoring the single
 // global model per-client.
+//
+// Per-client state (a personal model, Sub-FedAvg's masks) lives in the one
+// ClientStateStore this base owns, as each client's sections. The base is the
+// only code that moves those sections: exchange_round ships them down to an
+// out-of-process client and stores what its reply carries back,
+// serve_remote stores what a request carries, and the checkpoint helpers
+// write and restore them. Every section from outside the process passes
+// store_client's layout check before anything is replaced. An algorithm's
+// run_client only reads its client's sections and returns the new ones.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +27,7 @@
 #include "comm/channel.h"
 #include "comm/ledger.h"
 #include "data/client_data.h"
+#include "fl/client_state.h"
 #include "nn/model_zoo.h"
 #include "nn/trainer.h"
 #include "util/rng.h"
@@ -106,31 +116,43 @@ class FederatedAlgorithm {
   /// every call evaluates (all_test_accuracies keeps the table).
   virtual double client_test_accuracy(std::size_t k) = 0;
 
-  /// One client's round, runnable ANYWHERE — this process (loopback), a
-  /// forked child (subprocess), or a remote worker (tcp). `job.state`, when
-  /// non-empty, carries the client's side-band mirror shipped down by a
-  /// remote coordinator and must be installed before computing; fill
-  /// ClientResult::state iff `detached`. Every built-in algorithm overrides
-  /// this (run_round routes through it via exchange_round); the base
-  /// implementation throws CheckError so out-of-tree algorithms that never
-  /// leave the process keep compiling.
+  /// One client's round, runnable ANYWHERE — this process (memory,
+  /// loopback), a forked child (subprocess), or a remote worker (tcp). Reads
+  /// the client's sections from the store (the sections a job carries are
+  /// stored before this runs) and returns its new sections in
+  /// ClientResult::state; it never writes the store. Every built-in algorithm
+  /// overrides this (run_round routes through it via exchange_round); the
+  /// base implementation throws CheckError so out-of-tree algorithms that
+  /// never leave the process keep compiling.
   virtual ClientResult run_client(std::size_t round, const ClientJob& job,
-                                  const StateDict& received, bool detached);
+                                  const StateDict& received);
+  /// The pre-store signature, kept for bench/round's probe: with `detached`
+  /// false the returned sections are stored here, as an in-process round
+  /// does, and ClientResult::state comes back empty.
+  ClientResult run_client(std::size_t round, const ClientJob& job, const StateDict& received,
+                          bool detached);
 
-  /// The side-band sections a remote exchange must ship DOWN for client k —
-  /// the same layout run_client installs from job.state and returns in
-  /// ClientResult::state. Default: none (stateless clients).
-  virtual std::vector<StateDict> client_state_sections(std::size_t k);
+  /// Client k's current sections (the shared initial ones while untouched);
+  /// empty for algorithms without per-client state. Cache-neutral. What an
+  /// out-of-process exchange ships down and the resident server's
+  /// per-client kGetModel serves.
+  StateSections client_sections(std::size_t k) const;
 
-  /// Worker side of one remote exchange: decodes the request, runs
-  /// run_client detached, returns the encoded reply (fl/worker.h drives it).
+  /// Client sections reloaded from the store's spill file (lazy-mode
+  /// observability; 0 without per-client state).
+  std::size_t client_refaults() const noexcept { return clients_.refaults(); }
+
+  /// Worker side of one remote exchange: decodes the request, stores the
+  /// client's sections it carries, runs run_client and returns the encoded
+  /// reply with the client's new sections (fl/worker.h drives it).
   std::vector<std::uint8_t> serve_remote(std::span<const std::uint8_t> request_bytes);
 
   /// Named state sections that fully describe this algorithm's mutable state,
-  /// in the order restore_checkpoint_state expects them back. Every built-in
-  /// algorithm overrides this pair so fl/checkpoint.h can snapshot any run;
-  /// the base implementation throws CheckError (out-of-tree algorithms opt in
-  /// by overriding).
+  /// in the order restore_checkpoint_state expects them back, so
+  /// fl/checkpoint.h can snapshot any run. The base pair writes and restores
+  /// every client's sections, client by client — all the state Standalone
+  /// and MTL keep; algorithms with server state override it, and without
+  /// per-client state it throws CheckError.
   virtual std::vector<StateDict> checkpoint_state();
   /// Inverse of checkpoint_state: replaces the algorithm's mutable state.
   /// Throws CheckError when the sections do not match this federation.
@@ -194,18 +216,46 @@ class FederatedAlgorithm {
   virtual std::optional<std::uint64_t> evaluation_key(std::size_t k);
 
   /// Runs one round of exchanges through the channel, routing each client's
-  /// compute to run_client. When the transport is remote, first fills every
-  /// job's side-band state (client_state_sections) so the wire carries the
-  /// client mirrors down. Algorithms call this instead of channel_->run_round.
+  /// compute to run_client. In process, each client's new sections are
+  /// stored as it finishes. Out of process (Channel::detached()), every job
+  /// first carries its client's sections down, and every reply's sections
+  /// are stored before this returns. Either way the exchanges come back with
+  /// empty `state`. Algorithms call this instead of channel_->run_round.
   std::vector<Exchange> exchange_round(std::size_t round, std::span<ClientJob> jobs);
+
+  /// Gives every client `initial_sections` (shared, not copied per client);
+  /// at most ctx.client_cache touched clients stay resident. Algorithms with
+  /// per-client state call this once from their constructor; the rest keep
+  /// zero sections per client.
+  void init_clients(StateSections initial_sections);
+  /// Stores client k's sections after check_client. Sub-FedAvg overrides it
+  /// to record the pruned fractions, and must check first.
+  virtual void store_client(std::size_t k, StateSections sections);
+  /// Throws CheckError unless `sections` match the initial sections: the same
+  /// count, and per section the same entry names and shapes.
+  void check_client(std::span<const StateDict> sections) const;
+  /// Appends every client's sections, client by client (cache-neutral): the
+  /// client part of a checkpoint.
+  void append_client_sections(std::vector<StateDict>& out) const;
+  /// Inverse of append_client_sections over exactly those sections: checks
+  /// every client, then replaces every client's sections.
+  void restore_client_sections(std::span<StateDict> sections);
 
   FlContext ctx_;
   CommLedger ledger_;
   /// Built from ctx_'s transport/codec/quantize/corruption fields; records
   /// into ledger_. Subclasses route every upload/download through it.
   std::unique_ptr<Channel> channel_;
+  /// Every client's sections (init_clients); untouched clients share the
+  /// initial ones.
+  ClientStateStore clients_;
 
  private:
+  /// Stores the sections a job carries, then runs run_client.
+  ClientResult serve_job(std::size_t round, const ClientJob& job, const StateDict& received);
+  /// store_client(k, sections), leaving `sections` empty.
+  void keep_client(std::size_t k, StateSections& sections);
+
   StateDict initial_state_;
   /// Heterogeneous per-client links (ctx.link_spread); the channel holds a
   /// pointer for arrival ordering and round timing.

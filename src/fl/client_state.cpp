@@ -12,6 +12,17 @@
 
 namespace subfed {
 
+void check_section(const StateDict& section, const StateDict& like, const std::string& what) {
+  SUBFEDAVG_CHECK(section.size() == like.size(), what << " has " << section.size()
+                                                      << " entries, expected " << like.size());
+  for (std::size_t e = 0; e < like.size(); ++e) {
+    SUBFEDAVG_CHECK(section[e].first == like[e].first &&
+                        section[e].second.shape() == like[e].second.shape(),
+                    what << " entry " << e << " '" << section[e].first
+                         << "' does not match the architecture");
+  }
+}
+
 ClientStateStore::~ClientStateStore() {
   if (spill_file_ != nullptr) std::fclose(spill_file_);
 }

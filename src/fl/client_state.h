@@ -32,6 +32,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +42,10 @@ namespace subfed {
 
 using StateSections = std::vector<StateDict>;
 using StateSectionsPtr = std::shared_ptr<const StateSections>;
+
+/// Throws CheckError unless `section` has `like`'s entry names and shapes, in
+/// order. `what` names the section in the message.
+void check_section(const StateDict& section, const StateDict& like, const std::string& what);
 
 class ClientStateStore {
  public:

@@ -40,8 +40,7 @@ void FedAvg::run_round(std::size_t round, std::span<const std::size_t> sampled) 
 }
 
 ClientResult FedAvg::run_client(std::size_t round, const ClientJob& job,
-                                const StateDict& received, bool detached) {
-  (void)detached;  // stateless client: the upload carries everything
+                                const StateDict& received) {
   const ClientDataPtr data = ctx_.data->client_ptr(job.client);
   Model model = ctx_.spec.build();
   model.load_state(received);
@@ -82,12 +81,12 @@ GradHook FedProx::make_grad_hook(const StateDict& received) {
   };
 }
 
-
 std::vector<StateDict> FedAvg::checkpoint_state() { return {global_}; }
 
 void FedAvg::restore_checkpoint_state(std::vector<StateDict> sections) {
   SUBFEDAVG_CHECK(sections.size() == 1,
                   name() << " checkpoint expects 1 section, got " << sections.size());
+  check_section(sections.front(), initial_state(), "global model");
   global_ = std::move(sections.front());
 }
 

@@ -19,8 +19,8 @@ class FedAvg : public FederatedAlgorithm {
   void run_round(std::size_t round, std::span<const std::size_t> sampled) override;
   /// Stateless client: trains from `received`, uploads the result. Runs
   /// unchanged on remote workers (no side-band state either way).
-  ClientResult run_client(std::size_t round, const ClientJob& job, const StateDict& received,
-                          bool detached) override;
+  ClientResult run_client(std::size_t round, const ClientJob& job,
+                          const StateDict& received) override;
   double client_test_accuracy(std::size_t k) override;
 
   /// Checkpoint layout: one section, the global model.

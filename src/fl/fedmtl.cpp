@@ -1,7 +1,6 @@
 #include "fl/fedmtl.h"
 
 #include "core/eval.h"
-#include "util/check.h"
 
 namespace subfed {
 
@@ -23,7 +22,7 @@ StateDict with_dual_state(const StateDict& model_state) {
 
 FedMtl::FedMtl(FlContext ctx, double lambda)
     : FederatedAlgorithm(std::move(ctx)), lambda_(lambda) {
-  store_.init(num_clients(), {initial_state()}, ctx_.client_cache);
+  init_clients({initial_state()});
   mean_ = initial_state();
 }
 
@@ -32,16 +31,16 @@ void FedMtl::recompute_mean() {
   // float summation sequence per entry — and therefore the mean — is
   // bit-identical to the historical all-resident loop regardless of which
   // clients happen to be hot.
-  StateDict next = (*store_.peek(0))[0];
-  for (std::size_t k = 1; k < store_.size(); ++k) {
-    const StateSectionsPtr sections = store_.peek(k);
+  StateDict next = (*clients_.peek(0))[0];
+  for (std::size_t k = 1; k < clients_.size(); ++k) {
+    const StateSectionsPtr sections = clients_.peek(k);
     const StateDict& personal = (*sections)[0];
     for (std::size_t e = 0; e < next.size(); ++e) {
       next[e].second.add_(personal[e].second);
     }
   }
   for (std::size_t e = 0; e < next.size(); ++e) {
-    next[e].second.scale_(1.0f / static_cast<float>(store_.size()));
+    next[e].second.scale_(1.0f / static_cast<float>(clients_.size()));
   }
   mean_ = std::move(next);
 }
@@ -55,25 +54,17 @@ void FedMtl::run_round(std::size_t round, std::span<const std::size_t> sampled) 
     jobs[i] = {sampled[i], &broadcast, nullptr, {}};
   }
 
-  std::vector<Exchange> exchanges = exchange_round(round, jobs);
-
-  for (Exchange& exchange : exchanges) {
-    if (!exchange.state.empty()) {
-      store_.put(exchange.client, {std::move(exchange.state[0])});
-    }
-  }
+  exchange_round(round, jobs);
   recompute_mean();
 }
 
 ClientResult FedMtl::run_client(std::size_t round, const ClientJob& job,
-                                const StateDict& received, bool detached) {
+                                const StateDict& received) {
   const std::size_t k = job.client;
-  // Remote exchange: the client's personal model arrives as side-band.
-  if (!job.state.empty()) store_.put(k, {job.state[0]});
   const float lambda = static_cast<float>(lambda_);
   const ClientDataPtr data = ctx_.data->client_ptr(k);
   Model model = ctx_.spec.build();
-  model.load_state((*store_.read(k))[0]);
+  model.load_state((*clients_.read(k))[0]);
 
   // Task-relationship pull toward the federation mean as received.
   auto hook = [lambda, &received](Model& m) {
@@ -94,42 +85,22 @@ ClientResult FedMtl::run_client(std::size_t round, const ClientJob& job,
   ClientResult result;
   result.update.state = with_dual_state(trained);
   result.update.num_examples = data->train_labels.size();
-  if (detached) result.state.push_back(trained);
-  store_.put(k, {std::move(trained)});
+  result.state.push_back(std::move(trained));
   return result;
-}
-
-std::vector<StateDict> FedMtl::client_state_sections(std::size_t k) {
-  return {(*store_.read(k))[0]};
 }
 
 double FedMtl::client_test_accuracy(std::size_t k) {
   Model model = ctx_.spec.build();
-  model.load_state((*store_.peek(k))[0]);
+  model.load_state((*clients_.peek(k))[0]);
   return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
 std::optional<std::uint64_t> FedMtl::evaluation_key(std::size_t k) {
-  return store_.version(k);
-}
-
-std::vector<StateDict> FedMtl::checkpoint_state() {
-  std::vector<StateDict> sections;
-  sections.reserve(store_.size());
-  for (std::size_t k = 0; k < store_.size(); ++k) {
-    sections.push_back((*store_.peek(k))[0]);
-  }
-  return sections;
+  return clients_.version(k);
 }
 
 void FedMtl::restore_checkpoint_state(std::vector<StateDict> sections) {
-  SUBFEDAVG_CHECK(sections.size() == store_.size(),
-                  "MTL checkpoint has " << sections.size() << " sections, federation has "
-                                        << store_.size() << " clients");
-  store_.reset();
-  for (std::size_t k = 0; k < sections.size(); ++k) {
-    store_.put(k, {std::move(sections[k])});
-  }
+  FederatedAlgorithm::restore_checkpoint_state(std::move(sections));
   recompute_mean();
 }
 

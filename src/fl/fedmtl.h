@@ -11,7 +11,6 @@
 #pragma once
 
 #include "fl/algorithm.h"
-#include "fl/client_state.h"
 
 namespace subfed {
 
@@ -21,16 +20,14 @@ class FedMtl final : public FederatedAlgorithm {
 
   std::string name() const override { return "MTL"; }
   void run_round(std::size_t round, std::span<const std::size_t> sampled) override;
-  /// λ-pulls the client's personal model (installed from job.state on remote
-  /// exchanges) toward the received mean, uploads model + dual state.
-  ClientResult run_client(std::size_t round, const ClientJob& job, const StateDict& received,
-                          bool detached) override;
-  /// One section: the client's personal model.
-  std::vector<StateDict> client_state_sections(std::size_t k) override;
+  /// λ-pulls the client's personal model toward the received mean, uploads
+  /// model + dual state. Client sections: one, the personal model.
+  ClientResult run_client(std::size_t round, const ClientJob& job,
+                          const StateDict& received) override;
   double client_test_accuracy(std::size_t k) override;
 
-  /// Checkpoint layout: one section per client; w̄ is recomputed on restore.
-  std::vector<StateDict> checkpoint_state() override;
+  /// Checkpoint layout: the base's, one section per client; w̄ is recomputed
+  /// on restore.
   void restore_checkpoint_state(std::vector<StateDict> sections) override;
 
  private:
@@ -40,9 +37,6 @@ class FedMtl final : public FederatedAlgorithm {
   void recompute_mean();
 
   double lambda_;
-  /// Per-client personal models: one section per client, untouched clients
-  /// sharing the initial state, cold ones spilled past client_cache.
-  ClientStateStore store_;
   StateDict mean_;  ///< federation mean w̄ over all clients
 };
 

@@ -8,7 +8,6 @@
 
 #include "core/aggregate.h"
 #include "fl/algorithm.h"
-#include "fl/client_state.h"
 
 namespace subfed {
 
@@ -18,12 +17,10 @@ class LgFedAvg final : public FederatedAlgorithm {
 
   std::string name() const override { return "LG-FedAvg"; }
   void run_round(std::size_t round, std::span<const std::size_t> sampled) override;
-  /// Merges the received head into the client's personal state (installed
-  /// from job.state on remote exchanges), trains, uploads the new head.
-  ClientResult run_client(std::size_t round, const ClientJob& job, const StateDict& received,
-                          bool detached) override;
-  /// One section: the client's full personal state.
-  std::vector<StateDict> client_state_sections(std::size_t k) override;
+  /// Merges the received head into the client's personal state, trains,
+  /// uploads the new head. Client sections: one, the full personal state.
+  ClientResult run_client(std::size_t round, const ClientJob& job,
+                          const StateDict& received) override;
   double client_test_accuracy(std::size_t k) override;
 
   /// Checkpoint layout: one section per client plus the global FC head.
@@ -37,9 +34,6 @@ class LgFedAvg final : public FederatedAlgorithm {
   /// Overwrites the FC entries of `state` with the current global head.
   void merge_head(StateDict& state) const;
 
-  /// Full per-client states (conv part is personal): one section per client,
-  /// untouched clients sharing the initial state, cold ones spilled.
-  ClientStateStore store_;
   StateDict global_head_;  ///< FC entries only
 };
 

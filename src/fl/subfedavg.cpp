@@ -1,6 +1,5 @@
 #include "fl/subfedavg.h"
 
-#include <iterator>
 #include <string>
 #include <utility>
 
@@ -46,18 +45,6 @@ ModelMask weight_mask_of(StateDict section) {
   return mask;
 }
 
-/// Throws CheckError unless `section` has `like`'s entry names and shapes.
-void check_section(const StateDict& section, const StateDict& like, const char* what) {
-  SUBFEDAVG_CHECK(section.size() == like.size(), what << " has " << section.size()
-                                                      << " entries, expected " << like.size());
-  for (std::size_t e = 0; e < like.size(); ++e) {
-    SUBFEDAVG_CHECK(section[e].first == like[e].first &&
-                        section[e].second.shape() == like[e].second.shape(),
-                    what << " entry " << e << " '" << section[e].first
-                         << "' does not match the architecture");
-  }
-}
-
 double mean(const std::vector<double>& values) {
   double sum = 0.0;
   for (const double v : values) sum += v;
@@ -77,25 +64,14 @@ SubFedAvg::SubFedAvg(FlContext ctx, SubFedAvgConfig config)
   // construction is O(1) in the population.
   const ModelMask weight_ones = ModelMask::ones_like(
       arch_, config_.hybrid ? MaskScope::kFcOnly : MaskScope::kAllPrunable);
-  store_.init(num_clients(),
-              {global_, mask_state(weight_ones), channel_state(ChannelMask::ones_like(arch_))},
-              ctx_.client_cache);
+  init_clients(
+      {global_, mask_state(weight_ones), channel_state(ChannelMask::ones_like(arch_))});
   frac_us_.assign(num_clients(), 0.0);
   frac_s_.assign(num_clients(), 0.0);
 }
 
 std::string SubFedAvg::name() const {
   return config_.hybrid ? "Sub-FedAvg (Hy)" : "Sub-FedAvg (Un)";
-}
-
-void SubFedAvg::check_layout(std::span<const StateDict> sections) const {
-  const StateSections& like = store_.initial_sections();
-  SUBFEDAVG_CHECK(sections.size() == like.size(), name() << " client state expects "
-                                                         << like.size() << " sections, got "
-                                                         << sections.size());
-  check_section(sections[0], like[0], "personal model");
-  check_section(sections[1], like[1], "weight mask");
-  check_section(sections[2], like[2], "channel mask");
 }
 
 ChannelMask SubFedAvg::channel_mask_of(const StateDict& section) const {
@@ -121,16 +97,17 @@ SubFedAvgClient SubFedAvg::make_client(std::size_t k, StateSections sections) co
                          weight_mask_of(std::move(sections[1])), channel_mask_of(sections[2]));
 }
 
-void SubFedAvg::put_client(std::size_t k, StateSections sections) {
+void SubFedAvg::store_client(std::size_t k, StateSections sections) {
+  check_client(sections);  // the fractions below read the masks
   const double pruned_us = weight_mask_of(sections[1]).pruned_fraction();
   const double pruned_s = channel_mask_of(sections[2]).pruned_fraction();
-  store_.put(k, std::move(sections));
+  FederatedAlgorithm::store_client(k, std::move(sections));
   frac_us_[k] = pruned_us;
   frac_s_[k] = pruned_s;
 }
 
 SubFedAvgClient& SubFedAvg::client(std::size_t k) {
-  pinned_.emplace(make_client(k, *store_.peek(k)));
+  pinned_.emplace(make_client(k, *clients_.peek(k)));
   return *pinned_;
 }
 
@@ -141,7 +118,7 @@ void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sample
   std::vector<ModelMask> pre_masks(sampled.size());
   std::vector<ClientJob> jobs(sampled.size());
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    pre_masks[i] = upload_mask(*store_.read(sampled[i]));
+    pre_masks[i] = upload_mask(*clients_.read(sampled[i]));
     jobs[i] = {sampled[i], &global_, &pre_masks[i], {}};
   }
 
@@ -149,15 +126,7 @@ void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sample
 
   std::vector<ClientUpdate> updates;
   updates.reserve(exchanges.size());
-  for (Exchange& exchange : exchanges) {
-    // A detached round mutated a worker-process copy of the client; its
-    // side-band sections bring this process's copy up to date.
-    if (!exchange.state.empty()) {
-      check_layout(exchange.state);
-      put_client(exchange.client, std::move(exchange.state));
-    }
-    updates.push_back(std::move(exchange.update));
-  }
+  for (Exchange& exchange : exchanges) updates.push_back(std::move(exchange.update));
 
   // Mask-aware server defense: distances count only entries each update
   // actually uploaded, so honest heavily-pruned clients are not mistaken for
@@ -179,34 +148,24 @@ void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sample
 }
 
 ClientResult SubFedAvg::run_client(std::size_t round, const ClientJob& job,
-                                   const StateDict& received, bool detached) {
-  // Remote exchange: the coordinator's client mirror — personal model, weight
-  // mask, channel mask — arrives as side-band. The round RNG is split
-  // deterministically from (seed, client, round), so the mirror is the
-  // client's complete state.
-  if (!job.state.empty()) check_layout(job.state);
-  SubFedAvgClient client = make_client(
-      job.client, job.state.empty() ? *store_.read(job.client) : job.state);
+                                   const StateDict& received) {
+  // The round RNG is split deterministically from (seed, client, round), so
+  // the three sections are the client's complete state.
+  SubFedAvgClient client = make_client(job.client, *clients_.read(job.client));
   ClientResult result;
   result.update = client.run_round(received, round);
-  StateSections sections = sections_of(client);
-  if (detached) result.state = sections;
-  put_client(job.client, std::move(sections));
+  result.state = sections_of(client);
   return result;
-}
-
-std::vector<StateDict> SubFedAvg::client_state_sections(std::size_t k) {
-  return *store_.peek(k);
 }
 
 double SubFedAvg::client_test_accuracy(std::size_t k) {
   Model model = ctx_.spec.build();
-  model.load_state((*store_.peek(k))[0]);
+  model.load_state((*clients_.peek(k))[0]);
   return evaluate_client_test(model, ctx_.data->client_test(k)).accuracy;
 }
 
 std::optional<std::uint64_t> SubFedAvg::evaluation_key(std::size_t k) {
-  return store_.version(k);
+  return clients_.version(k);
 }
 
 double SubFedAvg::average_unstructured_pruned() const { return mean(frac_us_); }
@@ -214,7 +173,7 @@ double SubFedAvg::average_unstructured_pruned() const { return mean(frac_us_); }
 double SubFedAvg::average_structured_pruned() const { return mean(frac_s_); }
 
 ReductionReport SubFedAvg::client_reduction(std::size_t k) {
-  const StateSectionsPtr sections = store_.peek(k);
+  const StateSectionsPtr sections = clients_.peek(k);
   Model model = ctx_.spec.build();
   model.load_state((*sections)[0]);
   const ChannelMask channel = channel_mask_of((*sections)[2]);
@@ -226,10 +185,7 @@ std::vector<StateDict> SubFedAvg::checkpoint_state() {
   std::vector<StateDict> sections;
   sections.reserve(1 + 3 * num_clients());
   sections.push_back(global_);
-  for (std::size_t k = 0; k < num_clients(); ++k) {
-    const StateSectionsPtr client = store_.peek(k);
-    sections.insert(sections.end(), client->begin(), client->end());
-  }
+  append_client_sections(sections);
   return sections;
 }
 
@@ -238,15 +194,8 @@ void SubFedAvg::restore_checkpoint_state(std::vector<StateDict> sections) {
                   name() << " checkpoint expects " << 1 + 3 * num_clients()
                          << " sections, got " << sections.size());
   check_section(sections[0], initial_state(), "global model");
-  for (std::size_t k = 0; k < num_clients(); ++k) {
-    check_layout({sections.data() + 1 + 3 * k, 3});
-  }
+  restore_client_sections(std::span<StateDict>(sections).subspan(1));
   global_ = std::move(sections[0]);
-  store_.reset();
-  for (std::size_t k = 0; k < num_clients(); ++k) {
-    const auto first = std::make_move_iterator(sections.begin() + 1 + 3 * k);
-    put_client(k, StateSections(first, first + 3));
-  }
 }
 
 }  // namespace subfed

@@ -72,7 +72,7 @@ ServerLoop::ServerLoop(ServeOptions options)
   SUBFEDAVG_CHECK(options_.spec.serve == 1,
                   "ServerLoop needs a serve=1 spec (got serve=" << options_.spec.serve << ")");
   transport_ = session_->algorithm().channel().transport();
-  SUBFEDAVG_CHECK(transport_ != nullptr && transport_->remote(),
+  SUBFEDAVG_CHECK(transport_ != nullptr && transport_->accept_fd() >= 0,
                   "ServerLoop needs a remote (tcp) transport");
   checkpoint_path_ = options_.spec.resolved_checkpoint_path();
   // buffer_k is the natural quorum: a buffered round closes on its first
@@ -394,7 +394,7 @@ bool ServerLoop::handle_request(net::TcpConn& conn, const net::NetFrame& frame) 
                         "client " << k << " out of range (federation has "
                                   << session_->algorithm().num_clients() << ")");
         std::vector<StateDict> sections =
-            session_->algorithm().client_state_sections(static_cast<std::size_t>(k));
+            session_->algorithm().client_sections(static_cast<std::size_t>(k));
         if (sections.empty()) sections.push_back(session_->algorithm().global_model());
         std::vector<std::uint8_t> body;
         put_sections(body, sections);

@@ -1,5 +1,6 @@
 #include "serve/session.h"
 
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <numeric>
@@ -19,7 +20,19 @@ namespace subfed {
 namespace {
 
 constexpr std::uint32_t kSessionMagic = 0x5346534E;  // "SFSN"
-constexpr std::uint32_t kSessionVersion = 1;
+/// Version 2 added the sampling and dropout engine states; restore refuses
+/// version-1 files, which lack them.
+constexpr std::uint32_t kSessionVersion = 2;
+
+void put_engine(wire::Bytes& out, const Rng& rng) {
+  for (const std::uint64_t word : rng.state()) wire::put_u64(out, word);
+}
+
+Rng read_engine(wire::Reader& reader) {
+  std::array<std::uint64_t, 4> state{};
+  for (std::uint64_t& word : state) word = reader.u64();
+  return Rng::from_state(state);
+}
 
 }  // namespace
 
@@ -376,6 +389,8 @@ void FederationSession::save(const std::string& path) {
     wire::put_u64(out, point.round);
     wire::put_f64(out, point.avg_accuracy);
   }
+  put_engine(out, sample_rng_);
+  put_engine(out, dropout_rng_);
   wire::put_blob(out, checkpoint_bytes(*algorithm_));
   // A SIGKILL mid-write must leave the previous checkpoint intact.
   wire::write_file_atomic(path, out);
@@ -410,6 +425,8 @@ void FederationSession::restore(const std::string& path) {
     point.avg_accuracy = reader.f64();
     result.curve.push_back(point);
   }
+  const Rng sample_rng = read_engine(reader);
+  const Rng dropout_rng = read_engine(reader);
   const std::span<const std::uint8_t> algorithm_bytes = reader.blob();
   reader.finish();
   // Nothing changes until the whole file has decoded.
@@ -418,22 +435,12 @@ void FederationSession::restore(const std::string& path) {
   result_ = std::move(result);
   base_up_bytes_ = up_bytes;
   base_down_bytes_ = down_bytes;
-
-  // Replay the sampling/dropout streams through the completed rounds: the
-  // engines are derived from the seed alone, so re-issuing the exact draw
-  // sequence leaves them in the same state the uninterrupted run's were in —
-  // which is what makes round k+1 of a restored session bit-identical.
+  // The saved engines continue the streams where the uninterrupted run's
+  // stood, which is what makes round k+1 of a restored session
+  // bit-identical; restore costs nothing per saved round.
   init_streams();
-  const std::size_t n = algorithm_->num_clients();
-  for (std::size_t r = 0; r < round_; ++r) {
-    const std::vector<std::size_t> sampled =
-        sample_rng_.sample_without_replacement(n, per_round_);
-    if (config_.dropout_prob > 0.0) {
-      for (std::size_t i = 0; i < sampled.size(); ++i) {
-        (void)dropout_rng_.bernoulli(config_.dropout_prob);
-      }
-    }
-  }
+  sample_rng_ = sample_rng;
+  dropout_rng_ = dropout_rng;
 }
 
 }  // namespace subfed

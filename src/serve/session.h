@@ -11,9 +11,9 @@
 //   * stepped round by round under external control (the resident server
 //     ticks advance_round whenever enough workers are connected), and
 //   * checkpointed/restored MID-FEDERATION: save() wraps the algorithm's
-//     versioned checkpoint container with the session's own round counter and
-//     accounting, and restore() replays the RNG streams' draws for the
-//     completed rounds so round k+1 of a restored session is bit-identical to
+//     versioned checkpoint container with the session's own round counter,
+//     accounting and sampling/dropout engine states, and restore() puts the
+//     engines back so round k+1 of a restored session is bit-identical to
 //     round k+1 of an uninterrupted run.
 //
 // from_spec() is the single spec→running-federation build path; the tcp
@@ -122,17 +122,18 @@ class FederationSession {
   RunResult run_to_completion(RoundObserver* observer = nullptr);
 
   /// Snapshots the session — round counter, accounting, cumulative traffic,
-  /// and the algorithm's full checkpoint sections — to `path`, atomically
+  /// the sampling and dropout engines, and the algorithm's full checkpoint
+  /// sections — to `path` (SFSN version 2), atomically
   /// (temp file + rename, so a crash mid-write can never corrupt the latest
   /// checkpoint). Throws CheckError on I/O failure.
   void save(const std::string& path);
 
   /// Inverse of save into a session built from the SAME spec/config: restores
-  /// the algorithm state, the round counter and accounting, and replays the
-  /// sampling/dropout RNG streams through the completed rounds so the next
-  /// advance_round is bit-identical to an uninterrupted run's. Throws
-  /// CheckError on a corrupt file, an algorithm mismatch, or (when both
-  /// sessions carry spec blobs) a spec mismatch.
+  /// the algorithm state, the round counter and accounting, and the sampling
+  /// and dropout engines, so the next advance_round is bit-identical to an
+  /// uninterrupted run's. Throws CheckError on a corrupt file (version-1
+  /// files included), an algorithm mismatch, or (when both sessions carry
+  /// spec blobs) a spec mismatch.
   void restore(const std::string& path);
 
  private:

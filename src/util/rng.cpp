@@ -40,6 +40,14 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
+Rng Rng::from_state(const std::array<std::uint64_t, 4>& state) {
+  SUBFEDAVG_CHECK((state[0] | state[1] | state[2] | state[3]) != 0,
+                  "all-zero random engine state");
+  Rng rng;
+  for (std::size_t i = 0; i < 4; ++i) rng.s_[i] = state[i];
+  return rng;
+}
+
 Rng::result_type Rng::operator()() noexcept {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;

@@ -8,6 +8,7 @@
 // global engine.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,12 @@ class Rng {
 
   /// Seeds all 256 bits of state from `seed` via splitmix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+
+  /// The engine's four state words: from_state(state()) continues this
+  /// stream exactly (session checkpoints save streams this way).
+  std::array<std::uint64_t, 4> state() const noexcept { return {s_[0], s_[1], s_[2], s_[3]}; }
+  /// Throws CheckError on the all-zero state, which xoshiro never leaves.
+  static Rng from_state(const std::array<std::uint64_t, 4>& state);
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }

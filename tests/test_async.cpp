@@ -203,12 +203,13 @@ TEST(BufferedAggregation, DeadSubprocessWorkerStillFailsTheBufferedRun) {
                          for (std::size_t i = 0; i < sampled.size(); ++i) {
                            jobs[i] = {sampled[i], &kEmpty, nullptr};
                          }
-                         channel_->run_round(round, jobs,
-                                             [&](const ClientJob&, const StateDict&,
-                                                 bool detached) {
-                                               if (detached) ::_exit(7);
-                                               return ClientResult{};
-                                             });
+                         channel_->run_round(
+                             round, jobs,
+                             [coordinator = ::getpid()](std::size_t, const ClientJob&,
+                                                        const StateDict&) {
+                               if (::getpid() != coordinator) ::_exit(7);
+                               return ClientResult{};
+                             });
                        }
                        double client_test_accuracy(std::size_t) override { return 0.0; }
                      };
@@ -253,7 +254,7 @@ TEST(BufferedAggregation, SubprocessPipesDoNotLeakAcrossFiftyBufferedRounds) {
 
   StateDict payload;
   payload.add("w", Tensor(Shape{4}, {1.0f, 2.0f, 3.0f, 4.0f}));
-  const auto client_fn = [&](const ClientJob&, const StateDict& received, bool) {
+  const auto client_fn = [&](std::size_t, const ClientJob&, const StateDict& received) {
     ClientResult result;
     result.update.state = received;
     result.update.num_examples = 1;

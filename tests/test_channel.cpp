@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "comm/channel.h"
@@ -186,6 +188,35 @@ TEST(PayloadCodec, DeltaReferenceRoundTripsExactly) {
       if (bits[i] == 0.0f) EXPECT_EQ((*t)[i], 0.0f);
     }
   }
+}
+
+TEST(PayloadCodec, DeltaReferenceSubtractsKeptEntriesAndKeepsMaskedBits) {
+  // Kept entries become exactly x − r (one rounding); masked entries keep
+  // every bit, a planted −0 included; an entry the mask does not cover is
+  // shifted everywhere.
+  StateDict state;
+  state.add("w", Tensor(Shape{6}, {1.5f, -0.0f, 3.25f, 0.1f, -7.0f, 2.0f}));
+  state.add("b", Tensor(Shape{2}, {0.3f, -0.0f}));
+  StateDict reference;
+  reference.add("w", Tensor(Shape{6}, {0.7f, 5.0f, -1.1f, 0.2f, 9.0f, 0.0f}));
+  reference.add("b", Tensor(Shape{2}, {0.1f, 0.0f}));
+  ModelMask mask;
+  mask.set("w", Tensor(Shape{6}, {1.0f, 0.0f, 1.0f, 0.0f, 1.0f, 1.0f}));
+  const StateDict original = state;
+
+  subtract_reference(state, &mask, reference);
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  const Tensor& w = *state.find("w");
+  const Tensor& x = *original.find("w");
+  const Tensor& r = *reference.find("w");
+  for (std::size_t i = 0; i < 6; ++i) {
+    const float expected = (*mask.find("w"))[i] != 0.0f ? x[i] - r[i] : x[i];
+    EXPECT_EQ(bits(w[i]), bits(expected)) << "w[" << i << "]";
+  }
+  EXPECT_EQ(bits(w[1]), bits(-0.0f));  // masked: not −0 + 0 = +0
+  const Tensor& b = *state.find("b");
+  EXPECT_EQ(bits(b[0]), bits(0.3f - 0.1f));
+  EXPECT_EQ(bits(b[1]), bits(-0.0f - 0.0f));
 }
 
 TEST(Serialize, DecodeRecoversUploadedMask) {
@@ -381,8 +412,9 @@ TEST(RoundTime, WiderLinkSpreadSlowsTheFleetDeterministically) {
 // ---------------------------------------------------------------------------
 // Crash isolation
 
-/// Channel-routed test algorithm whose detached client half dies without
-/// replying — the moral equivalent of a worker OOM-kill mid-round.
+/// Channel-routed test algorithm whose client half dies without replying when
+/// it runs outside the coordinator's process — the moral equivalent of a
+/// worker OOM-kill mid-round.
 class CrashyAlgorithm final : public FederatedAlgorithm {
  public:
   explicit CrashyAlgorithm(FlContext ctx) : FederatedAlgorithm(std::move(ctx)) {}
@@ -394,8 +426,9 @@ class CrashyAlgorithm final : public FederatedAlgorithm {
     std::vector<ClientJob> jobs(sampled.size());
     for (std::size_t i = 0; i < sampled.size(); ++i) jobs[i] = {sampled[i], &kEmpty, nullptr};
     channel_->run_round(round, jobs,
-                        [&](const ClientJob&, const StateDict&, bool detached) {
-                          if (detached) ::_exit(7);  // die before replying
+                        [coordinator = ::getpid()](std::size_t, const ClientJob&,
+                                                   const StateDict&) {
+                          if (::getpid() != coordinator) ::_exit(7);  // die before replying
                           return ClientResult{};
                         });
   }

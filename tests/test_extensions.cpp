@@ -5,7 +5,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "comm/channel.h"
 #include "comm/quantize.h"
@@ -13,6 +16,7 @@
 #include "fl/checkpoint.h"
 #include "nn/batchnorm.h"
 #include "fl/driver.h"
+#include "fl/registry.h"
 #include "fl/standalone.h"
 #include "fl/subfedavg.h"
 #include "metrics/sparsity.h"
@@ -20,6 +24,7 @@
 #include "pruning/unstructured.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/wire.h"
 
 namespace subfed {
 namespace {
@@ -263,6 +268,20 @@ TEST_F(CheckpointTest, RejectsWrongFederationSize) {
   std::remove(path.c_str());
 }
 
+/// A worker request for client `k`: `broadcast` as the payload and `sections`
+/// as the side-band client state a coordinator ships down.
+std::vector<std::uint8_t> worker_request(std::size_t k, const StateDict& broadcast,
+                                         const std::vector<StateDict>& sections) {
+  Envelope request;
+  request.kind = MessageKind::kBroadcast;
+  request.client = static_cast<std::uint32_t>(k);
+  request.sections.push_back(encode_payload(broadcast, nullptr, QuantCodec::kNone));
+  for (const StateDict& section : sections) {
+    request.sections.push_back(encode_update(section, nullptr));
+  }
+  return encode_envelope(request);
+}
+
 TEST_F(CheckpointTest, RejectsClientSectionsThatDoNotMatchTheArchitecture) {
   SubFedAvg alg(ctx(), config());
   const std::vector<StateDict> good = alg.checkpoint_state();
@@ -279,13 +298,93 @@ TEST_F(CheckpointTest, RejectsClientSectionsThatDoNotMatchTheArchitecture) {
     bad[s] = reshaped;
     EXPECT_THROW(alg.restore_checkpoint_state(bad), CheckError) << "section " << s;
 
-    ClientJob job{2, &global, nullptr, {bad.begin() + 7, bad.begin() + 10}};
-    EXPECT_THROW(alg.run_client(0, job, global, /*detached=*/true), CheckError)
+    EXPECT_THROW(alg.serve_remote(worker_request(2, global, {bad.begin() + 7, bad.begin() + 10})),
+                 CheckError)
         << "section " << s;
   }
   // Nothing was stored: the federation still checkpoints as before.
   EXPECT_EQ(encode_state_sections(alg.name(), alg.checkpoint_state()),
             encode_state_sections(alg.name(), good));
+}
+
+/// Every registered algorithm with per-client state: the checkpoint section
+/// where client 1's sections begin, and how many sections a client has.
+struct Stateful {
+  const char* algo;
+  std::size_t client1;
+  std::size_t per_client;
+};
+const Stateful kStatefulAlgorithms[] = {{"standalone", 1, 1},
+                                        {"lg_fedavg", 1, 1},
+                                        {"fedmtl", 1, 1},
+                                        {"subfedavg_un", 4, 3},
+                                        {"subfedavg_hy", 4, 3}};
+
+/// Client-section defects a hostile file or peer could send: the last entry
+/// missing, or the first entry renamed.
+const std::pair<const char*, std::function<StateDict(const StateDict&)>> kSectionDefects[] = {
+    {"last entry missing",
+     [](const StateDict& section) {
+       StateDict out;
+       for (std::size_t e = 0; e + 1 < section.size(); ++e) {
+         out.add(section[e].first, section[e].second);
+       }
+       return out;
+     }},
+    {"first entry renamed",
+     [](const StateDict& section) {
+       StateDict out;
+       for (std::size_t e = 0; e < section.size(); ++e) {
+         out.add(e == 0 ? section[e].first + ".renamed" : section[e].first, section[e].second);
+       }
+       return out;
+     }},
+};
+
+/// `algo` after one round over every client, so its clients differ from the
+/// initial sections.
+std::unique_ptr<FederatedAlgorithm> trained(const char* algo, const FlContext& ctx) {
+  std::unique_ptr<FederatedAlgorithm> alg = registry().create(algo, ctx);
+  const std::vector<std::size_t> everyone = {0, 1, 2, 3};
+  alg->run_round(0, everyone);
+  return alg;
+}
+
+TEST_F(CheckpointTest, EveryStatefulAlgorithmRefusesAMalformedClientSection) {
+  const std::string path = ::testing::TempDir() + "/subfed_bad_client.bin";
+  for (const auto& [algo, client1, per_client] : kStatefulAlgorithms) {
+    const std::unique_ptr<FederatedAlgorithm> alg = trained(algo, ctx());
+    const std::vector<StateDict> good = alg->checkpoint_state();
+    const std::vector<std::uint8_t> before = encode_state_sections(alg->name(), good);
+    for (const auto& [defect, edit] : kSectionDefects) {
+      std::vector<StateDict> bad = good;
+      bad[client1] = edit(good[client1]);
+      wire::write_file_atomic(path, encode_state_sections(alg->name(), bad));
+      EXPECT_THROW(load_checkpoint(*alg, path), CheckError) << algo << ": " << defect;
+      EXPECT_EQ(encode_state_sections(alg->name(), alg->checkpoint_state()), before)
+          << algo << ": " << defect;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, EveryStatefulAlgorithmRefusesAMalformedClientSectionFromAWorkerRequest) {
+  for (const auto& [algo, client1, per_client] : kStatefulAlgorithms) {
+    const std::unique_ptr<FederatedAlgorithm> alg = trained(algo, ctx());
+    const std::vector<StateDict> good = alg->checkpoint_state();
+    const std::vector<std::uint8_t> before = encode_state_sections(alg->name(), good);
+    const StateDict broadcast = alg->global_model();
+    for (const auto& [defect, edit] : kSectionDefects) {
+      std::vector<StateDict> sections(good.begin() + static_cast<std::ptrdiff_t>(client1),
+                                      good.begin() +
+                                          static_cast<std::ptrdiff_t>(client1 + per_client));
+      sections[0] = edit(sections[0]);
+      EXPECT_THROW(alg->serve_remote(worker_request(1, broadcast, sections)), CheckError)
+          << algo << ": " << defect;
+      EXPECT_EQ(encode_state_sections(alg->name(), alg->checkpoint_state()), before)
+          << algo << ": " << defect;
+    }
+  }
 }
 
 TEST_F(CheckpointTest, RejectsMissingAndCorruptFiles) {

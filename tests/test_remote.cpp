@@ -1,7 +1,8 @@
 // Remote federation over real sockets: tcp rounds bit-identical to loopback
 // for every registered algorithm, straggler eviction when a worker dies
-// mid-round, worker reconnect limits, fail-fast spec validation, and sweep
-// sharding of whole runs across workers.
+// mid-round, a worker whose replies carry malformed client state, worker
+// reconnect limits, fail-fast spec validation, and sweep sharding of whole
+// runs across workers.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +17,7 @@
 #include "fl/sweep.h"
 #include "fl/worker.h"
 #include "net/socket.h"
+#include "serve/session.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -157,6 +159,53 @@ TEST(RemoteFederation, SyncRoundFailsFastWhenTheOnlyWorkerDies) {
   ASSERT_FALSE(tcp.error.empty());
   EXPECT_NE(tcp.error.find("died before replying"), std::string::npos) << tcp.error;
   EXPECT_EQ(tcp.stats[0].exchanges, 1u);
+}
+
+/// A worker that speaks the protocol by hand — kHello, kSetup, then one reply
+/// per kExchange — and answers each exchange with its mirror's reply after
+/// dropping the last entry of the reply's first side-band section.
+void serve_malformed_client_state(const std::string& endpoint) {
+  const net::Deadline io = net::Deadline::after_ms(20000);
+  net::TcpConn conn = net::TcpConn::connect(net::parse_host_port(endpoint), io);
+  net::NetFrame setup;
+  if (!conn.valid() || !net::send_frame(conn, net::FrameKind::kHello, 0, {}, io) ||
+      !net::recv_frame(conn, &setup, io) || setup.kind != net::FrameKind::kSetup) {
+    ADD_FAILURE() << "the fake worker could not join " << endpoint;
+    return;
+  }
+  const std::unique_ptr<FederationSession> mirror = FederationSession::mirror_from_kv(
+      std::string(setup.payload.begin(), setup.payload.end()));
+  net::NetFrame frame;
+  while (net::recv_frame(conn, &frame) && frame.kind == net::FrameKind::kExchange) {
+    Envelope reply = decode_envelope(mirror->algorithm().serve_remote(frame.payload));
+    if (reply.sections.size() > 1) {
+      const StateDict section = decode_update(reply.sections[1]);
+      StateDict shorter;
+      for (std::size_t e = 0; e + 1 < section.size(); ++e) {
+        shorter.add(section[e].first, section[e].second);
+      }
+      reply.sections[1] = encode_update(shorter, nullptr);
+    }
+    if (!net::send_frame(conn, net::FrameKind::kReply, frame.tag, encode_envelope(reply), io)) {
+      return;
+    }
+  }
+}
+
+TEST(RemoteFederation, SyncRoundRefusesAReplyWithMalformedClientState) {
+  for (const char* algo : {"standalone", "lg_fedavg", "fedmtl", "subfedavg_un", "subfedavg_hy"}) {
+    ExperimentSpec spec = small_spec(algo);
+    spec.transport = "tcp";
+    spec.listen = "127.0.0.1:0";
+    spec.channel_workers = 1;
+    spec.rpc_timeout_ms = 20000;
+    std::unique_ptr<FederationSession> session = FederationSession::from_spec(spec);
+    std::thread worker(serve_malformed_client_state,
+                       session->algorithm().channel().transport_endpoint());
+    EXPECT_THROW(session->advance_round(), CheckError) << algo;
+    session.reset();  // transport teardown sends kShutdown to the worker
+    worker.join();
+  }
 }
 
 TEST(RemoteFederation, WorkerGivesUpAfterItsReconnectBudget) {

@@ -10,11 +10,13 @@
 // (SFSN) is decoded field by field with this file's own little-endian reader.
 //
 // The hostile cases feed the decoders bytes no encoder wrote: every proper
-// prefix of every encoding, seeded mutations, a session file whose curve
-// count claims 2^32 - 1 points, a directory in place of a file, and JSON
-// nested far deeper than any document the repo writes. Each decoder must
-// decode or throw CheckError — never crash, never throw anything else. A
-// checkpoint write that fails must leave the previous checkpoint intact.
+// prefix of every encoding, seeded mutations (of the in-memory formats and of
+// a whole session file), a session file whose curve count claims 2^32 - 1
+// points, one whose round counter claims 2^40 rounds, a directory in place of
+// a file, and JSON nested far deeper than any document the repo writes. Each
+// decoder must decode or throw CheckError — never crash, never throw anything
+// else. A checkpoint write that fails must leave the previous checkpoint
+// intact.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -36,6 +38,7 @@
 #include "util/check.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace subfed {
 namespace {
@@ -238,11 +241,11 @@ class LeCursor {
   std::size_t pos_ = 0;
 };
 
-ExperimentSpec small_spec() {
+ExperimentSpec small_spec(const std::string& algo = "fedavg") {
   set_log_level(LogLevel::kWarn);
   ExperimentSpec spec;
   spec.dataset = "mnist";
-  spec.algo = "fedavg";
+  spec.algo = algo;
   spec.clients = 4;
   spec.shard = 20;
   spec.test_per_class = 4;
@@ -297,7 +300,7 @@ TEST(WirePins, SessionCheckpointDecodesFieldByField) {
 
   LeCursor in(bytes);
   EXPECT_EQ(in.u32(), 0x5346534Eu);  // "SFSN"
-  EXPECT_EQ(in.u32(), 1u);           // version
+  EXPECT_EQ(in.u32(), 2u);           // version
   const Bytes kv = in.blob();
   EXPECT_EQ(std::string(kv.begin(), kv.end()), spec.to_kv());
   const RunResult& progress = session->progress();
@@ -311,6 +314,14 @@ TEST(WirePins, SessionCheckpointDecodesFieldByField) {
   for (const RoundPoint& point : progress.curve) {
     EXPECT_EQ(in.u64(), point.round);
     EXPECT_EQ(in.f64(), point.avg_accuracy);
+  }
+  // The sampling engine after two rounds' draws (2 of 4 clients each), then
+  // the dropout engine, which drew nothing at dropout 0.
+  Rng sampling = Rng(spec.seed).split("client-sampling");
+  for (int r = 0; r < 2; ++r) (void)sampling.sample_without_replacement(4, 2);
+  for (const std::uint64_t word : sampling.state()) EXPECT_EQ(in.u64(), word);
+  for (const std::uint64_t word : Rng(spec.seed).split("client-dropout").state()) {
+    EXPECT_EQ(in.u64(), word);
   }
   EXPECT_EQ(in.blob(), checkpoint_bytes(session->algorithm()));
   EXPECT_TRUE(in.at_end());
@@ -353,6 +364,22 @@ std::vector<Decoder> decoders() {
   };
 }
 
+/// One to three seeded edits: a truncation, a bit flip, a byte stamp or four
+/// 0xFF bytes.
+void mutate(Bytes& bytes, std::mt19937_64& rng) {
+  const int edits = 1 + static_cast<int>(rng() % 3);
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    const std::size_t at = rng() % bytes.size();
+    switch (rng() % 4) {
+      case 0: bytes.resize(at); break;
+      case 1: bytes[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8)); break;
+      case 2: bytes[at] = static_cast<std::uint8_t>(rng()); break;
+      default:
+        for (std::size_t i = at; i < at + 4 && i < bytes.size(); ++i) bytes[i] = 0xFF;
+    }
+  }
+}
+
 /// Runs `decode` and reports anything but success or CheckError.
 void expect_decodes_or_check_error(const Decoder& d, std::span<const std::uint8_t> bytes,
                                    const std::string& what) {
@@ -379,17 +406,7 @@ TEST(WireHostile, SeededMutationsDecodeOrThrowCheckError) {
   for (const Decoder& d : decoders()) {
     for (int trial = 0; trial < 3000; ++trial) {
       Bytes bytes = d.bytes;
-      const int edits = 1 + static_cast<int>(rng() % 3);
-      for (int e = 0; e < edits && !bytes.empty(); ++e) {
-        const std::size_t at = rng() % bytes.size();
-        switch (rng() % 4) {
-          case 0: bytes.resize(at); break;
-          case 1: bytes[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8)); break;
-          case 2: bytes[at] = static_cast<std::uint8_t>(rng()); break;
-          default:
-            for (std::size_t i = at; i < at + 4 && i < bytes.size(); ++i) bytes[i] = 0xFF;
-        }
-      }
+      mutate(bytes, rng);
       expect_decodes_or_check_error(d, bytes, "mutation " + std::to_string(trial));
     }
   }
@@ -405,7 +422,7 @@ TEST(WireHostile, SessionFileClaimingFourBillionCurvePointsThrowsCheckError) {
     for (int i = 0; i < width; ++i) file.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   };
   put(0x5346534E, 4);
-  put(1, 4);
+  put(2, 4);
   put(0, 4);
   for (int i = 0; i < 6; ++i) put(0, 8);
   put(0xFFFFFFFF, 4);
@@ -413,6 +430,52 @@ TEST(WireHostile, SessionFileClaimingFourBillionCurvePointsThrowsCheckError) {
   const std::string path = temp_path("huge_curve.sfsn");
   spit(path, file);
   EXPECT_THROW(session->restore(path), CheckError);
+  std::filesystem::remove(path);
+}
+
+Bytes saved_session(const ExperimentSpec& spec) {
+  const std::unique_ptr<FederationSession> source = session_after_two_rounds(spec);
+  const std::string path = temp_path("source.sfsn");
+  source->save(path);
+  Bytes bytes = slurp(path);
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+TEST(WireHostile, SessionFileClaimingTwoToTheFortyRoundsRestoresAtOnce) {
+  // A valid file whose round counter is stamped: restore sets the saved
+  // engines instead of replaying a round count nothing bounds.
+  const ExperimentSpec spec = small_spec();
+  Bytes bytes = saved_session(spec);
+  const std::size_t counter = 4 + 4 + 4 + spec.to_kv().size();  // magic, version, spec text
+  for (int i = 0; i < 8; ++i) bytes[counter + i] = i == 5 ? 1 : 0;  // 2^40
+  const std::string path = temp_path("stamped.sfsn");
+  spit(path, bytes);
+  const std::unique_ptr<FederationSession> session = FederationSession::from_spec(spec);
+  session->restore(path);
+  EXPECT_EQ(session->round(), std::size_t{1} << 40);
+  std::filesystem::remove(path);
+}
+
+TEST(WireHostile, SeededSessionFileMutationsRestoreOrThrowCheckError) {
+  // An MTL session: every client's section goes through the store's layout
+  // check on restore, so mutated names and shapes must be refused there.
+  const ExperimentSpec spec = small_spec("fedmtl");
+  const Bytes saved = saved_session(spec);
+  const std::unique_ptr<FederationSession> session = FederationSession::from_spec(spec);
+  const std::string path = temp_path("mutated.sfsn");
+  std::mt19937_64 rng(20261022);
+  for (int trial = 0; trial < 3000; ++trial) {
+    Bytes bytes = saved;
+    mutate(bytes, rng);
+    spit(path, bytes);
+    try {
+      session->restore(path);
+    } catch (const CheckError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "session mutation " << trial << ": threw " << e.what();
+    }
+  }
   std::filesystem::remove(path);
 }
 
@@ -427,21 +490,12 @@ TEST(WireHostile, SessionRestoreFromADirectoryThrowsCheckError) {
 
 TEST(WireHostile, EveryProperPrefixOfASessionFileThrowsCheckError) {
   const ExperimentSpec spec = small_spec();
-  const Bytes saved = [&] {
-    const std::unique_ptr<FederationSession> source = session_after_two_rounds(spec);
-    const std::string path = temp_path("source.sfsn");
-    source->save(path);
-    Bytes bytes = slurp(path);
-    std::filesystem::remove(path);
-    return bytes;
-  }();
+  const Bytes saved = saved_session(spec);
   ASSERT_GT(saved.size(), 64u);
   const std::unique_ptr<FederationSession> session = FederationSession::from_spec(spec);
-  // Every prefix through the header, counters and curve, then a stride
-  // through the trailing SFCG blob (whose own prefixes are covered in
-  // memory above), then the last bytes. SFSN is not mutated at random: its
-  // round counter sets how many rounds restore replays, and neither the file
-  // nor the spec bounds it, so a flipped high byte runs for hours.
+  // Every prefix through the header, counters, curve and engines, then a
+  // stride through the trailing SFCG blob (whose own prefixes are covered in
+  // memory above), then the last bytes.
   const std::size_t header = saved.size() - checkpoint_bytes(session->algorithm()).size();
   const std::string path = temp_path("prefix.sfsn");
   for (std::size_t n = 0; n < saved.size(); ++n) {
